@@ -18,8 +18,8 @@
 //!    the independently computed hop bound.
 //! 3. **Bit-identical λ at 1/2/8 threads**: the same solve through
 //!    scoped rayon pools of 1, 2 and 8 threads returns bitwise-equal
-//!    λ, dual bound, and arc flows — the delta-stepping determinism
-//!    contract, observed at the top of the stack.
+//!    λ, dual bound, and arc flows — every tree is a sequential heap
+//!    Dijkstra, so the solve is thread-invariant by construction.
 //!
 //! Knobs (env): `DCTOPO_SCALE_SWITCHES` (default 1024; CI runs small),
 //! `DCTOPO_SCALE_PHASES` (GK phase cap, default 2 — the gates check
@@ -196,6 +196,7 @@ fn bench_scale(c: &mut Criterion) {
     let eight_ms = runs[2].1;
 
     let servers = topo.server_count();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     report::emit_from_env(&[
         SpeedupRecord {
             name: "scale_msbfs_hopbound".into(),
@@ -214,7 +215,7 @@ fn bench_scale(c: &mut Criterion) {
                 "RRG({switches}, 32, 16) aggregated all-to-all, {servers} \
                  servers / {} flows, eps 0.3, {} phases; lambda {:.3e} <= \
                  {:.3e} certified, bit-identical at 1/2/8 threads; \
-                 1-thread vs 8-thread wall",
+                 host nproc {nproc}; 1-thread vs 8-thread wall",
                 agg.flow_count(),
                 solved.phases,
                 solved.throughput,

@@ -60,11 +60,10 @@
 
 use std::collections::HashMap;
 
-use dctopo_graph::{CsrNet, DeltaStats, DijkstraWorkspace, NodeId};
+use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 use rayon::prelude::*;
 
-use crate::trace::with_delta_stats;
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Minimum `source groups × arcs` before the dual-bound Dijkstra pass
@@ -77,20 +76,9 @@ const PARALLEL_DUAL_MIN_WORK: usize = 1 << 12;
 
 /// The dual bound D(l)/α(l) is invariant under uniform scaling of all
 /// lengths, and so are shortest paths — so we rescale whenever lengths
-/// grow large to avoid overflow corrupting the bound.
-const RESCALE_ABOVE: f64 = 1e100;
-
-/// Node count at or above which the fast path's **full-tree** passes
-/// (exact rebuilds, post-rescale refreshes, full-tree dual harvests)
-/// run the bucketed parallel SSSP ([`dctopo_graph::delta`]) instead of
-/// scalar heap Dijkstra. Distances are bitwise identical either way;
-/// parent trees may differ inside float-absorption plateaus (both
-/// valid, both deterministic), which can steer a different — equally
-/// certified — trajectory. The gate keeps the small pinned instances
-/// (RRG(64, 12, 8) benches, strict-vs-fast pins) on their historical
-/// byte-exact trajectories while 1024-switch solves get bucket-level
-/// parallelism inside every tree build, not just across groups.
-const DELTA_MIN_NODES: usize = 512;
+/// grow large to avoid overflow corrupting the bound. Shared by every
+/// length-based solver in the crate.
+pub(crate) const RESCALE_ABOVE: f64 = 1e100;
 
 /// Terminal solver state a later solve can warm-start from: the arc
 /// length function the FPTAS ended on.
@@ -178,19 +166,6 @@ fn warm_lengths(net: &CsrNet, warm: &WarmState) -> Option<Vec<f64>> {
         })
         .collect();
     Some(out)
-}
-
-/// One full shortest-path tree under `length`: bucketed parallel SSSP
-/// at scale, scalar Dijkstra below [`DELTA_MIN_NODES`]. Either way the
-/// workspace ends in completed-full-run state, satisfying
-/// [`CsrNet::dijkstra_repair`]'s preconditions.
-#[inline]
-pub(crate) fn full_tree(net: &CsrNet, src: NodeId, length: &[f64], ws: &mut DijkstraWorkspace) {
-    if net.node_count() >= DELTA_MIN_NODES {
-        dctopo_graph::delta::sssp(net, src, length, ws);
-    } else {
-        net.dijkstra(src, length, ws);
-    }
 }
 
 /// Fast path: opening (coarse) step size of the annealing schedule.
@@ -367,6 +342,8 @@ fn solve_strict(
     if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, false)? {
         best_dual = best_dual.min(bound);
     }
+    // shortest-path trees built: the dual passes plus one per augmentation
+    let mut sssp_runs = groups.len() as u64;
     // evaluate the dual every few phases (it changes slowly and costs a
     // Dijkstra per source group — the parallel pass)
     let dual_every = 8usize;
@@ -402,6 +379,7 @@ fn solve_strict(
                     break;
                 }
                 net.dijkstra_targets(g.src, &length, &g.targets, &mut g.ws);
+                sssp_runs += 1;
                 // accumulate load if all remaining demand were routed
                 touched.clear();
                 for (k, &(_, dst, _)) in g.sinks.iter().enumerate() {
@@ -488,6 +466,7 @@ fn solve_strict(
             if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, false)? {
                 best_dual = best_dual.min(bound);
             }
+            sssp_runs += groups.len() as u64;
         }
 
         // emission sits in the sequential phase loop, so the event
@@ -545,23 +524,17 @@ fn solve_strict(
     sol.phases = phases;
     sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
     if obs::enabled() {
-        let mut ds = DeltaStats::default();
-        for g in &groups {
-            ds.merge(g.ws.delta_stats());
-        }
-        with_delta_stats(
-            obs::Event::new("fptas_solve")
-                .field("mode", "strict")
-                .field("groups", groups.len())
-                .field("commodities", commodities.len())
-                .field("phases", phases as u64)
-                .field("settles", sol.settles)
-                .field("lambda", sol.throughput)
-                .field("upper_bound", sol.upper_bound),
-            &ds,
-        )
-        .nd("wall_us", obs::us_since(t_solve))
-        .emit();
+        obs::Event::new("fptas_solve")
+            .field("mode", "strict")
+            .field("groups", groups.len())
+            .field("commodities", commodities.len())
+            .field("phases", phases as u64)
+            .field("settles", sol.settles)
+            .field("sssp_runs", sssp_runs)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
     }
     Ok(sol)
 }
@@ -641,6 +614,9 @@ fn solve_fast(
     if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, true)? {
         best_dual = best_dual.min(bound);
     }
+    // full trees built: the seed pass, exact passes and post-rescale
+    // rebuilds (incremental repairs are counted apart)
+    let mut sssp_runs = groups.len() as u64;
     let dual_every = EXACT_PASS_EVERY;
     let mut last_primal_check = 0.0f64;
     let mut stagnant_phases = 0usize;
@@ -705,7 +681,7 @@ fn solve_fast(
         if exact_pass {
             let clock = base + log.len();
             let rebuild = |g: &mut GroupState| {
-                full_tree(net, g.src, &length, &mut g.ws);
+                net.dijkstra(g.src, &length, &mut g.ws);
                 g.cursor = clock;
                 g.needs_full = false;
             };
@@ -714,6 +690,7 @@ fn solve_fast(
             } else {
                 groups.iter_mut().for_each(rebuild);
             }
+            sssp_runs += groups.len() as u64;
         }
 
         // ---- dual bound, every phase and essentially free ----
@@ -771,10 +748,11 @@ fn solve_fast(
                 if g.needs_full {
                     // post-rescale: stored distances are in pre-rescale
                     // units, so the drift gate cannot be trusted — rebuild
-                    full_tree(net, g.src, &length, &mut g.ws);
+                    net.dijkstra(g.src, &length, &mut g.ws);
                     g.cursor = base + log.len();
                     g.needs_full = false;
                     ph_rebuilds += 1;
+                    sssp_runs += 1;
                 }
                 // walk the tree through the reuse ladder; repair at most
                 // once per augmentation (a repaired tree is exact)
@@ -990,28 +968,22 @@ fn solve_fast(
     sol.phases = phases;
     sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
     if obs::enabled() {
-        let mut ds = DeltaStats::default();
-        for g in &groups {
-            ds.merge(g.ws.delta_stats());
-        }
-        with_delta_stats(
-            obs::Event::new("fptas_solve")
-                .field("mode", "fast")
-                .field("warm", warm_started)
-                .field("groups", groups.len())
-                .field("commodities", commodities.len())
-                .field("phases", phases as u64)
-                .field("settles", sol.settles)
-                .field("aug_exact", tot_exact)
-                .field("aug_drift", tot_drift)
-                .field("repairs", tot_repairs)
-                .field("rescale_rebuilds", tot_rebuilds)
-                .field("lambda", sol.throughput)
-                .field("upper_bound", sol.upper_bound),
-            &ds,
-        )
-        .nd("wall_us", obs::us_since(t_solve))
-        .emit();
+        obs::Event::new("fptas_solve")
+            .field("mode", "fast")
+            .field("warm", warm_started)
+            .field("groups", groups.len())
+            .field("commodities", commodities.len())
+            .field("phases", phases as u64)
+            .field("settles", sol.settles)
+            .field("sssp_runs", sssp_runs)
+            .field("aug_exact", tot_exact)
+            .field("aug_drift", tot_drift)
+            .field("repairs", tot_repairs)
+            .field("rescale_rebuilds", tot_rebuilds)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
     }
     Ok((sol, WarmState { lengths: length }))
 }
@@ -1037,7 +1009,7 @@ fn dual_bound(
 ) -> Result<Option<f64>, FlowError> {
     let settle = |g: &mut GroupState| {
         if full_trees {
-            full_tree(net, g.src, length, &mut g.ws);
+            net.dijkstra(g.src, length, &mut g.ws);
         } else {
             net.dijkstra_targets(g.src, length, &g.targets, &mut g.ws);
         }

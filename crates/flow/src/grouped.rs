@@ -30,8 +30,8 @@
 //! arc once all its tree children have pushed onto it — which costs
 //! `O(n + arcs)` per step independent of how many sinks the group has:
 //!
-//! 1. build the tree under current lengths (`fptas::full_tree`:
-//!    bucketed parallel SSSP at scale, scalar Dijkstra below the gate);
+//! 1. build the tree under current lengths ([`CsrNet::dijkstra`], the
+//!    indexed-heap kernel every solver shares);
 //! 2. `L(a)` = demand in the subtree hanging under arc `a`;
 //! 3. `τ = min(1, min_a c(a)/L(a))` — the capacity-scaled step;
 //! 4. `flow(a) += τ·L(a)`, `l(a) *= 1 + ε·τ·L(a)/c(a)`,
@@ -66,22 +66,18 @@
 //! seeds its ready stack in node-index order, so its visit sequence —
 //! and therefore every float accumulation order — is a pure function
 //! of the parent forest; sink iteration is input order
-//! (`List`) or index order (`Weighted`); the tree builds are
-//! [`dctopo_graph::delta`] (bit-identical at any thread count) or
-//! scalar Dijkstra. The whole solve is therefore **bit-identical
-//! across thread counts and reruns**, same as the pairwise paths.
+//! (`List`) or index order (`Weighted`); every tree build is a
+//! sequential heap Dijkstra. The whole solve — `settles` included — is
+//! therefore **bit-identical across thread counts and reruns**, same as
+//! the pairwise paths.
 
 use std::sync::Arc;
 
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
-use crate::fptas;
-use crate::trace::with_delta_stats;
+use crate::fptas::RESCALE_ABOVE;
 use crate::{FlowError, FlowOptions};
-
-/// Where lengths get rescaled (mirrors the pairwise solver).
-const RESCALE_ABOVE: f64 = 1e100;
 
 /// The sinks of one [`DemandGroup`].
 #[derive(Debug, Clone)]
@@ -178,7 +174,7 @@ pub struct GroupedFlow {
     pub group_rate_factor: Vec<f64>,
     /// Phases executed.
     pub phases: usize,
-    /// Total shortest-path tree settles (work metric).
+    /// Total shortest-path tree settles (heap pops; the work metric).
     pub settles: u64,
 }
 
@@ -324,6 +320,8 @@ pub fn solve_grouped(
     let mut last_primal_check = 0.0f64;
     let mut stagnant_phases = 0usize;
     let mut phases = 0usize;
+    // shortest-path trees built: routing steps plus harvest runs
+    let mut sssp_runs = 0u64;
 
     while phases < opts.max_phases {
         phases += 1;
@@ -350,7 +348,7 @@ pub fn solve_grouped(
                 }
                 ph_steps += 1;
                 let t_tree = obs::clock();
-                fptas::full_tree(net, g.src, &length, &mut ws);
+                net.dijkstra(g.src, &length, &mut ws);
                 tree_us += obs::us_since(t_tree);
 
                 // seed the per-node sink demand for this step and check
@@ -448,6 +446,7 @@ pub fn solve_grouped(
             .zip(net.capacities())
             .map(|(&l, &c)| l * c)
             .sum();
+        sssp_runs += ph_steps;
         let bound = d_l / alpha_phase;
         if bound.is_finite() && bound > 0.0 {
             best_dual = best_dual.min(bound);
@@ -522,7 +521,7 @@ pub fn solve_grouped(
     let t_harvest = obs::clock();
     let mut alpha_final = 0.0f64;
     for g in groups {
-        fptas::full_tree(net, g.src, &length, &mut ws);
+        net.dijkstra(g.src, &length, &mut ws);
         g.for_each_sink(|dst, d| {
             let dist = ws.distance(dst);
             if dist.is_finite() {
@@ -530,6 +529,7 @@ pub fn solve_grouped(
             }
         });
     }
+    sssp_runs += groups.len() as u64;
     let d_final: f64 = length
         .iter()
         .zip(net.capacities())
@@ -553,16 +553,14 @@ pub fn solve_grouped(
     sol.phases = phases;
     sol.settles = ws.settles();
     if obs::enabled() {
-        with_delta_stats(
-            obs::Event::new("grouped_solve")
-                .field("groups", groups.len())
-                .field("phases", phases as u64)
-                .field("settles", sol.settles)
-                .field("lambda", sol.throughput)
-                .field("upper_bound", sol.upper_bound),
-            ws.delta_stats(),
-        )
-        .emit();
+        obs::Event::new("grouped_solve")
+            .field("groups", groups.len())
+            .field("phases", phases as u64)
+            .field("settles", sol.settles)
+            .field("sssp_runs", sssp_runs)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .emit();
     }
     Ok(sol)
 }

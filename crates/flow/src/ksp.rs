@@ -29,6 +29,7 @@ use dctopo_graph::kshortest::yen_k_shortest;
 use dctopo_graph::{CsrNet, Graph, NodeId};
 
 use crate::cache::{FrozenPathSet, PathSetCache};
+use crate::fptas::RESCALE_ABOVE;
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Solve max concurrent flow where commodity `j` may only use its `k`
@@ -148,7 +149,6 @@ fn solve_frozen(
     let mut phases = 0usize;
     let mut last_primal = 0.0f64;
     let mut stagnant = 0usize;
-    const RESCALE_ABOVE: f64 = 1e100;
 
     while phases < opts.max_phases {
         phases += 1;

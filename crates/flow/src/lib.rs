@@ -64,7 +64,6 @@ mod fptas;
 pub mod grouped;
 pub mod ksp;
 pub mod reference;
-mod trace;
 
 use std::fmt;
 

@@ -17,6 +17,7 @@
 use dctopo_graph::paths::dijkstra;
 use dctopo_graph::{Graph, NodeId};
 
+use crate::fptas::RESCALE_ABOVE;
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Commodities grouped by source for shared Dijkstra runs.
@@ -72,11 +73,6 @@ pub fn max_concurrent_flow_graph(
     // raw (pre-scaling) accumulated flow
     let mut arc_flow = vec![0.0f64; num_arcs];
     let mut routed = vec![0.0f64; commodities.len()];
-
-    // The dual bound D(l)/α(l) is invariant under uniform scaling of all
-    // lengths, and so are shortest paths — so we rescale whenever lengths
-    // grow large to avoid overflow corrupting the bound.
-    const RESCALE_ABOVE: f64 = 1e100;
 
     // reachability check up front (also seeds the first dual bound)
     let mut best_dual = f64::INFINITY;

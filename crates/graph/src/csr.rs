@@ -748,7 +748,7 @@ impl CsrNet {
 /// numeric order for non-negative floats), node id in the low half so
 /// equal distances order by node id.
 #[inline]
-pub(crate) fn pack(dist: f64, node: u32) -> u128 {
+fn pack(dist: f64, node: u32) -> u128 {
     debug_assert!(dist >= 0.0);
     ((dist.to_bits() as u128) << 32) | node as u128
 }
@@ -798,9 +798,6 @@ pub struct DijkstraWorkspace {
     mark_gen: u32,
     /// Scratch list of affected nodes for the current repair.
     affected: Vec<u32>,
-    /// Cumulative bucketed-SSSP statistics across [`crate::delta::sssp`]
-    /// runs through this workspace (zero when only the heap path ran).
-    delta_stats: crate::delta::DeltaStats,
 }
 
 impl DijkstraWorkspace {
@@ -812,11 +809,7 @@ impl DijkstraWorkspace {
     }
 
     /// Start a new run: reset the active prefix and clear the heap.
-    /// `pub(crate)` so the bucketed SSSP ([`crate::delta`]) can leave the
-    /// workspace in exactly the state a completed [`CsrNet::dijkstra`]
-    /// would (empty heap, full dist/parent arrays), which is what
-    /// [`CsrNet::dijkstra_repair`] requires of its input.
-    pub(crate) fn begin(&mut self, n: usize) {
+    fn begin(&mut self, n: usize) {
         if self.dist.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.parent_arc.resize(n, NO_ARC);
@@ -852,31 +845,6 @@ impl DijkstraWorkspace {
     #[inline]
     pub fn settles(&self) -> u64 {
         self.settles
-    }
-
-    /// Credit `k` settle operations performed outside the heap loop
-    /// (the bucketed SSSP in [`crate::delta`] settles nodes without
-    /// popping this workspace's heap but reports in the same unit).
-    #[inline]
-    pub(crate) fn note_settles(&mut self, k: u64) {
-        self.settles += k;
-    }
-
-    /// Cumulative bucketed-SSSP statistics this workspace accumulated
-    /// (see [`crate::delta::DeltaStats`]); all zeros when only the
-    /// scalar heap path ran. Snapshot-and-[`diff`](
-    /// crate::delta::DeltaStats::since) to attribute activity to one
-    /// solver phase.
-    #[inline]
-    pub fn delta_stats(&self) -> &crate::delta::DeltaStats {
-        &self.delta_stats
-    }
-
-    /// Merge one bucketed-SSSP run's statistics into the cumulative
-    /// counter (called by [`crate::delta::sssp`]).
-    #[inline]
-    pub(crate) fn note_delta_stats(&mut self, st: &crate::delta::DeltaStats) {
-        self.delta_stats.merge(st);
     }
 
     /// Distance of `v` from the last run's source (`INFINITY` if

@@ -32,7 +32,6 @@
 
 pub mod components;
 pub mod csr;
-pub mod delta;
 pub mod error;
 pub mod graph;
 pub mod io;
@@ -43,7 +42,6 @@ pub mod spectral;
 pub mod swaps;
 
 pub use csr::{CsrNet, DijkstraWorkspace};
-pub use delta::DeltaStats;
 pub use error::GraphError;
 pub use graph::{ArcId, EdgeId, Graph, NodeId};
 pub use msbfs::{ms_bfs, ms_bfs_csr, MsBfsWorkspace};

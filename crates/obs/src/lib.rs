@@ -13,10 +13,10 @@
 //!   instance, the options, and the seeds. Two runs of the same
 //!   workload produce **byte-identical** JSONL after stripping the
 //!   non-deterministic section (see [`strip_nd`]), at *any* thread
-//!   count. Solver phase records, settle counts, bucket occupancy
-//!   histograms, ε-anneal steps, cache keys all live here.
+//!   count. Solver phase records, settle counts, shortest-path tree
+//!   counts, ε-anneal steps, cache keys all live here.
 //! * **Non-deterministic fields** (under the reserved `"nd"` key) —
-//!   wall-clock timings, CAS retry counts, and anything else that
+//!   wall-clock timings, cache hit splits, and anything else that
 //!   depends on scheduling. These are *observed, never consulted*: no
 //!   algorithm reads a wall clock or an `nd` counter to make a
 //!   decision, which is what keeps the bitwise 1/2/8-thread pins green
@@ -33,7 +33,7 @@
 //! The recorder is **zero-overhead when disabled**: every
 //! instrumentation site guards on [`enabled`] (one relaxed atomic
 //! load) before touching a clock or building an event, and the
-//! counters that feed events (settles, bucket statistics) are ones the
+//! counters that feed events (settles, tree counts) are ones the
 //! solvers already maintained. `BENCH_obs.json` pins the measured
 //! cost: the fptas_fast sweep workload with the recorder *enabled*
 //! (memory sink) must run within 2% of the disabled run — and the
@@ -217,7 +217,7 @@ impl Event {
         self
     }
 
-    /// Attach a non-deterministic field (wall clock, CAS retries, …);
+    /// Attach a non-deterministic field (wall clock, cache hit split, …);
     /// serialized under the reserved `"nd"` object that [`strip_nd`]
     /// removes.
     #[must_use]

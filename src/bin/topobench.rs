@@ -1487,19 +1487,11 @@ fn cmd_profile(args: &Args) {
                 ev_f64(s, "rescale_rebuilds")
             );
         }
-        if s.get("sssp_runs").is_some() && ev_f64(s, "sssp_runs") > 0.0 {
-            println!(
-                "delta-stepping: {} runs, {} buckets, {} light rounds \
-                 ({} parallel / {} sequential), {} expansions, {} edge scans",
-                ev_f64(s, "sssp_runs"),
-                ev_f64(s, "buckets"),
-                ev_f64(s, "light_rounds"),
-                ev_f64(s, "par_rounds"),
-                ev_f64(s, "seq_rounds"),
-                ev_f64(s, "expansions"),
-                ev_f64(s, "edge_scans")
-            );
-        }
+        println!(
+            "shortest-path trees: {} built, {} settles",
+            ev_f64(s, "sssp_runs"),
+            ev_f64(s, "settles")
+        );
     }
     let cache = engine.cache_stats();
     println!("path cache: {} hits / {} misses", cache.hits, cache.misses);

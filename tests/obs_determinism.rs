@@ -16,16 +16,28 @@
 //!   is why sweep-level events are emitted post-assembly.)
 //! * **Serve transcripts are tracing-invariant**, and the traced batch
 //!   emits the serve event taxonomy.
+//! * **The contract holds at scale.** A grouped solve on a 520-switch
+//!   fabric reproduces λ, the bound, the arc flows, `settles` and its
+//!   trace residue bit for bit at 1, 2 and 8 threads.
 //!
-//! The recorder is process-global, so everything lives in ONE `#[test]`
-//! — the harness's default parallel scheduling must never interleave
-//! two sinks.
+//! The recorder is process-global, so every test holds [`recorder`]
+//! while it runs — the harness's default parallel scheduling must never
+//! interleave two sinks.
 
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use dctopo::flow::{solve_grouped, DemandGroup};
 use dctopo::obs;
 use dctopo::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::ThreadPoolBuilder;
+
+/// Exclusive use of the process-global recorder for one test.
+fn recorder() -> MutexGuard<'static, ()> {
+    static RECORDER: Mutex<()> = Mutex::new(());
+    RECORDER.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Everything a solve must reproduce bitwise.
 #[derive(Debug, PartialEq, Eq)]
@@ -78,6 +90,7 @@ fn strip_all(lines: &[String]) -> Vec<String> {
 
 #[test]
 fn tracing_is_invisible_to_results_and_replays_deterministically() {
+    let _recorder = recorder();
     let insts = instances();
     let opts = FlowOptions::fast();
 
@@ -158,5 +171,75 @@ fn tracing_is_invisible_to_results_and_replays_deterministically() {
             trace.iter().any(|l| l.contains(kind)),
             "traced batch missing {kind} events"
         );
+    }
+}
+
+/// Everything a grouped solve must reproduce bitwise, with its trace
+/// residue.
+#[derive(Debug, PartialEq, Eq)]
+struct GroupedPin {
+    lambda: u64,
+    upper: u64,
+    arc_flow: Vec<u64>,
+    settles: u64,
+    residue: Vec<String>,
+}
+
+/// The determinism gate at scale: RRG(520, 24, 12), eight weighted
+/// all-to-all sources, eps 0.3, one phase — the shape the scale
+/// workloads run, sized to stay within seconds in a debug build.
+#[test]
+fn grouped_solve_is_thread_invariant_at_scale() {
+    let _recorder = recorder();
+    let mut rng = StdRng::seed_from_u64(7);
+    let topo = Topology::random_regular(520, 24, 12, &mut rng).expect("rrg");
+    let engine = ThroughputEngine::new(&topo);
+    let n = topo.switch_count();
+    let weights = Arc::new(vec![1.0; n]);
+    let groups: Vec<DemandGroup> = (0..8)
+        .map(|i| DemandGroup::weighted(i * n / 8, Arc::clone(&weights), 12.0))
+        .collect();
+    let opts = FlowOptions {
+        epsilon: 0.3,
+        max_phases: 1,
+        ..FlowOptions::default()
+    };
+    let solve_at = |threads: usize| {
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        obs::enable_memory();
+        let f = pool
+            .install(|| solve_grouped(engine.net(), &groups, &opts))
+            .expect("connected fabric solves");
+        let lines = obs::drain_memory();
+        obs::disable();
+        GroupedPin {
+            lambda: f.throughput.to_bits(),
+            upper: f.upper_bound.to_bits(),
+            arc_flow: f.arc_flow.iter().map(|x| x.to_bits()).collect(),
+            settles: f.settles,
+            residue: strip_all(&lines),
+        }
+    };
+    let base = solve_at(1);
+    assert!(base.lambda > 0 && base.settles > 0, "degenerate solve");
+    assert!(
+        base.residue
+            .iter()
+            .any(|l| l.contains("\"ev\":\"grouped_solve\"") && l.contains("\"sssp_runs\":")),
+        "grouped_solve event must carry sssp_runs"
+    );
+    for threads in [2, 8] {
+        let pin = solve_at(threads);
+        assert_eq!(pin.lambda, base.lambda, "λ at {threads} threads");
+        assert_eq!(pin.upper, base.upper, "bound at {threads} threads");
+        assert!(
+            pin.arc_flow == base.arc_flow,
+            "arc flows at {threads} threads"
+        );
+        assert_eq!(pin.settles, base.settles, "settles at {threads} threads");
+        assert_eq!(pin.residue, base.residue, "residue at {threads} threads");
     }
 }
