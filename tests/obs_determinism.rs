@@ -18,7 +18,8 @@
 //!   emits the serve event taxonomy.
 //! * **The contract holds at scale.** A grouped solve on a 520-switch
 //!   fabric reproduces λ, the bound, the arc flows, `settles` and its
-//!   trace residue bit for bit at 1, 2 and 8 threads.
+//!   trace residue bit for bit at 1, 2 and 8 threads, and its λ, bound
+//!   and `settles` match committed values.
 //!
 //! The recorder is process-global, so every test holds [`recorder`]
 //! while it runs — the harness's default parallel scheduling must never
@@ -225,6 +226,12 @@ fn grouped_solve_is_thread_invariant_at_scale() {
     };
     let base = solve_at(1);
     assert!(base.lambda > 0 && base.settles > 0, "degenerate solve");
+    // the trajectory itself is pinned, not only its thread invariance
+    assert_eq!(
+        (base.lambda, base.upper, base.settles),
+        (0x3f59_7b5b_ea09_153d, 0x3f6c_4b17_eccc_d4b1, 270_400),
+        "λ bits, bound bits and settles moved"
+    );
     assert!(
         base.residue
             .iter()

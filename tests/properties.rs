@@ -421,6 +421,213 @@ fn strict_reference_bitwise_matches_reference_on_50_seeded_graphs() {
     }
 }
 
+/// 64-bit FNV-1a over a stream of words (each hashed as its 8
+/// little-endian bytes).
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(mut self, w: u64) -> Self {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    fn floats(self, xs: &[f64]) -> Self {
+        xs.iter().fold(self, |h, x| h.word(x.to_bits()))
+    }
+}
+
+/// Digest of everything a pairwise solve reports: λ, bound, phases,
+/// settles, arc flows, per-commodity rates and (when recorded)
+/// per-commodity arc flows.
+fn solved_digest(s: &dctopo::flow::SolvedFlow) -> u64 {
+    let mut h = Fnv::new()
+        .word(s.throughput.to_bits())
+        .word(s.upper_bound.to_bits())
+        .word(s.phases as u64)
+        .word(s.settles)
+        .floats(&s.arc_flow)
+        .floats(&s.commodity_rate);
+    for flows in s.commodity_arc_flow.iter().flatten() {
+        h = h.floats(flows);
+    }
+    h.0
+}
+
+/// Digest of everything a grouped solve reports (per-group rate
+/// factors in place of per-commodity rates).
+fn grouped_digest(s: &dctopo::flow::GroupedFlow) -> u64 {
+    Fnv::new()
+        .word(s.throughput.to_bits())
+        .word(s.upper_bound.to_bits())
+        .word(s.phases as u64)
+        .word(s.settles)
+        .floats(&s.arc_flow)
+        .floats(&s.group_rate_factor)
+        .0
+}
+
+/// Per-seed trajectory digests of every FPTAS flavour on the 50 seeded
+/// graphs, in column order: fast cold, fast warm re-solve of ±10%
+/// drifted demands, fast with per-commodity flows, strict, `ksp:4`,
+/// grouped `List` of the same commodities, grouped `Weighted`
+/// all-to-all.
+#[rustfmt::skip]
+const TRAJECTORY_GOLDENS: [[u64; 7]; 50] = [
+    [0xb052a889f048df3c, 0xa609d5df90b07a46, 0xabbd7235c10f47df, 0xb1eaefebcd0ed20d, 0x2e799f3275fc0bd4, 0x534ede34cdba93a0, 0xc1196be9ac2d2500],
+    [0xac1e1490727a49e8, 0x317f3a026243231b, 0x8f438c1ec5f0fa8b, 0x597c14b8267bca12, 0x0a9c9a383219818b, 0x715cc4774266fa27, 0xa24eeb98f34ad415],
+    [0xd2883cf551327b8f, 0xb02d8808fa9c9052, 0x825b05110c7e592d, 0xfd64505d7285525d, 0x24fd365ee8ad825c, 0xb60f6b0214c6317a, 0x6a60423c2b8d33ad],
+    [0x08613140f074dcf2, 0x801d3fca3cf74887, 0xe76bfe64bd46cd46, 0xa990d547431365be, 0xe6a053b786d9b6fb, 0xed848713ce8f96bf, 0x9fc929e57ae30ee0],
+    [0x1a19247ea680ac41, 0x08cc752bdc0c11a7, 0x0d3bcf2a76fa0350, 0xde823e028d5b7704, 0x52de483fcd2ff63a, 0x51c03fe5dc3b3fa1, 0x515c94dc0bd9a997],
+    [0x1a23554eb2b41143, 0x5cd5b6d2f80e278d, 0x5f1d0730488bdd12, 0xe4be05cab865e65c, 0x5c461ace88b4f8d2, 0xedf2b5308acbacf1, 0x908f472dff6a822f],
+    [0x2b1cdf9715cd2918, 0x3f2ef0936bdff8eb, 0xae94ba35f0591930, 0x634c5a5de9282cb8, 0xfd0dd1c53ec5b4d1, 0x6f9dce6bb9ea1e3f, 0x615c5380c4949472],
+    [0x5de247b30942b62e, 0x552b2441a2869d48, 0x6b97a4966649a35a, 0xf64a92850e4781dc, 0xf577da48658abbdb, 0xbcb76018b09d97af, 0x7a2d9e038d2b7d3f],
+    [0x9b41384bdf9ab097, 0xe8aa656e4a4e928d, 0x9e38b11b1c914f2e, 0x238024a45527f239, 0x4b2b085103882db5, 0xbd8972d6d5c428c1, 0xf9259f9529ca29f1],
+    [0xabbe91da0e6a1f97, 0x8737c8065bc98e0c, 0x0c71e91629feef70, 0xbd68afeda4aee528, 0x59fb796ec137be6c, 0x49632c3854c7ec6f, 0xf22d3eb6c32b1687],
+    [0xf9efa5b20a2ec624, 0x423aff8a643110d4, 0x56f03bc3dde96313, 0xc829717e328a66d3, 0x2bf7986ba01ce333, 0x21eca80ff0a660cd, 0x18c608a148e2b8d7],
+    [0x6532f143b4320047, 0x1b61c04861684258, 0xd12f2a170e38c10a, 0x33778e4472c304dd, 0x4cf847b0f295303b, 0xddceaa9eea1e0f5a, 0x9ce7604857cf2501],
+    [0x65410c6a6ddc3c90, 0xe3d69b109f202c20, 0x6b539fa05bf27cbd, 0x756ba84ea6e04e80, 0xc6acfb56ccd51332, 0xd5a24827ca9f25d5, 0x69fec581809bc3aa],
+    [0xcc412a88415a7c33, 0x3424a28ad37eda34, 0x1edc4be6d056eb9a, 0x455bd2bb4bc2b5b0, 0xe9983ab74f1d729b, 0xe618a2ffc11b0a91, 0x39d8f36b4f3174d1],
+    [0xd9e6ab8f61c4b0ed, 0x5b95d9f6378318b2, 0x354b7983aef0a01c, 0x305609cc63df03ee, 0xe440d9095cfcb2d2, 0x3f8878c1368514b3, 0x76b5721ffcebc0a5],
+    [0x1db73ebf2bc8a985, 0x843eb3979df72f94, 0xd0e84c6ad756745c, 0x99b5dfbff74c0378, 0xce10045460e856c3, 0x469b5d2dbee75f57, 0x77b3b02c86676c8a],
+    [0x69b6e0a629744219, 0xb28f3586bb8186e8, 0x711a94c9efed7d47, 0x621c928944b30d1c, 0x34fa48e74777e9f0, 0x0374c41217977024, 0xce6b7aff5beec79d],
+    [0x88acd57133de1779, 0xe64f4f2f80aa8de7, 0xf7f0b2dee18e80f1, 0x52ee2ed24ad1143d, 0x0163406dcdb9608c, 0x76543c1a614c9999, 0xd4e2932f9a1fe7bf],
+    [0x1580478f7c379083, 0xd10f5da47c24af9a, 0x2354a7f17576fdb7, 0xd66445f0075b75f2, 0x8653509b2f24a420, 0x9acc5c425147b29c, 0xd984f68ff58be47c],
+    [0xca1c6bbc861664cb, 0xdea8ecef2374f80e, 0x312a4ce942c007b5, 0xc3d269ea06f67533, 0x203b283e1c88e936, 0xa8ec86d62cdb9ab3, 0x9124514265544660],
+    [0xa30b84740495d0e1, 0xab34ba0b5c4a732a, 0x6799a79d1dbf1bea, 0x2637b73659cf2286, 0xd73b53edb499ebf7, 0xb9785d907101364b, 0x61c0e1e5fdfd00b7],
+    [0x896edc9b25ee8f60, 0x3fec4349c78f516e, 0x79077dbe2e752945, 0x6f55fbb442c1dbd0, 0xfea790187631842d, 0x33c26a7600199d5f, 0xbfaf01a1019f76ea],
+    [0x24bd838a65ad8a18, 0xeca90f4a56447c21, 0x44b6076bda825d79, 0x2ba4a7d61bc7c600, 0x6e67928436bb50f4, 0x57a41975a2feefa1, 0x664a2b85d982fecf],
+    [0x5b1b6d16fd64af59, 0x40509241980f080f, 0x6583641b49524d26, 0xeac4ed7f7d9c2787, 0x11a3b741846a4610, 0x3154eba200e9adae, 0xb93cb95f98e1dc5a],
+    [0x3b007578b312b5af, 0x5f006baee0265847, 0xc319f4fd86c08ee8, 0x96c7c52b0ac7708f, 0x78daa03ebd8b6e77, 0x3931498c7387fa57, 0xcf852d1e1e235758],
+    [0x08e5db7294874cdb, 0xf6c793155c6cb7f3, 0xd8cc2f174c5c5b5e, 0x34063f7210fae277, 0x7f16d3e439ac308b, 0x70d0d52e184bfb22, 0x51eabc5b38354e9a],
+    [0xdf966fe8b59674b2, 0x6479a37961ece92b, 0xa6d1efaf23394eb3, 0x39869f79b0e4be17, 0x5d9bd539e6d27dcd, 0x2fbe25e1da5696ae, 0x3cf1da1ca73cc085],
+    [0x110240b7423b11b0, 0x7c242423a2602381, 0xd6620d088866f289, 0x65ff05c5691a1044, 0x284f1a7784d747a3, 0x51c7a018fbd0c1d8, 0x19f21981b241d55d],
+    [0x267c8c22778bf33a, 0xbeac8f5252b4d9b5, 0xd433bb7666b211a4, 0x6581b7c4abcdaed8, 0xb0750ad26cf1c141, 0x08a10bdd9ace36d3, 0x894d111e2e2af3dd],
+    [0x78a88645556b0b77, 0xf20014e66ce1c1da, 0xb92d5cfc3c66b741, 0x8df316a691f62021, 0x32473c686c2d9f03, 0x3c402e234a16c098, 0x118f5fae65daae1a],
+    [0xc7ccecb8cb15f84d, 0x17eda5dd2f03557c, 0xc13a17a400eb6891, 0x43d89ba2142a5365, 0xbf68d41b717d9760, 0xd3f9c1fa736a9252, 0x8ab26b448bb1ef7e],
+    [0x94b40796faa8cc4f, 0x648160e83a3fd4cc, 0x03e612545bf5f0f3, 0x444736233bead7ca, 0x867dfa105e9d48f8, 0xfe85a05683065bcc, 0xe5401f5a72bf6b0f],
+    [0x68a2d71fb781da0b, 0x642f6f2aebba8061, 0x4e45cc6404715f3f, 0x12c901ecd54f3829, 0x0cdcb7c0d7446e59, 0xaf47ddf2022f03ac, 0x38a679f2760f1aca],
+    [0x1089152d566eed82, 0x6206b510fbe936b0, 0x30a93d1c5802cdf5, 0x792dcda630bc4d4d, 0xa03cdf1cc85cab7b, 0x8e97feae7597e61f, 0x18fd0d803487e0ca],
+    [0xe800e4d39b511756, 0xfc497c16f9344983, 0x50382ab29fb4a880, 0x49004f55d945a8e1, 0x5f88e2bfc92743ee, 0x4c97002508bcd494, 0x279db86f2d8ce628],
+    [0x216bb548277bb1b4, 0xbecd1bcdaa71a9dd, 0x969711a0a51a8ad4, 0xb5be4acd57b8cca9, 0x15dbb9c9919842a1, 0x85cefdcb7263afa9, 0x8b1a6d6023177b77],
+    [0xbf1eda696bc6365c, 0xf640651a11e0648e, 0xa1c89cb1e2d30761, 0xb7ba6efc944a6438, 0xe81fb1fb5057622f, 0x36692e0369d598aa, 0x6097b556bebf16a8],
+    [0x46ed827f220f9d27, 0xb684a8f505d3cade, 0xfbfd0258481c10d3, 0x1b28b3e93cf6168b, 0x95cc1597666fd166, 0xaba3df7790e8fe9c, 0xe2e7e005e05372cd],
+    [0xd5faf6b5d8b04348, 0xab0c399a2b960d5c, 0x58fe870b2996cdce, 0xcc74c337d51efed7, 0x3ed18e98152251e5, 0x9667b50b67a2c957, 0x221ad746adfafca3],
+    [0x8a97184fb0b08a38, 0xca93f6659a62ef2c, 0x7817511c6b98ab66, 0xe7f6e80a223f5333, 0xe35b52642865cfcb, 0x53038c83d2601201, 0x354c3f136f18f251],
+    [0x95cbcf30614acff0, 0xee4f235f76ea7543, 0x4b23f27c2fa7fa4c, 0x9e3e29accece51d0, 0x27a34fc4353b8e2b, 0x0f77d54eb03b8f87, 0xc6ebd1a0cb2a801b],
+    [0x4730ee21efaa7815, 0xb89edcbdddda2fe0, 0x95e901e471c73336, 0x5123e05cc23b7f7c, 0x374b35de19253f4c, 0x9984d4f73e742efa, 0x8f1dcb1624a724e4],
+    [0x62092b182e9e74e2, 0x83182e71ba6a8f9b, 0xa44cf8dc536f22ca, 0x12c7566430b0e41d, 0x9fd980c21333fe2b, 0x38df3c25582a37ad, 0x248f4fdfd3984b61],
+    [0x974a484817cc5fb0, 0x36fa1392849cab8a, 0x81e9740b22782da4, 0x022307e1fa69423d, 0x11aed34540b13493, 0xdd85094c73171e64, 0x7333a0018887654e],
+    [0xdb5ee392da91675e, 0xd21b8a1b653856b6, 0xeb03a4b57cd2e448, 0x0f81534c26f83c43, 0x2e20efa026979d7a, 0x8dcbe19bbda4606d, 0x7ac2207bd632e4dc],
+    [0x55f0d0e44bbcad57, 0xacd07d33af31a473, 0x483cd5ef596ee0e1, 0x1edf8e7d3eace2a3, 0x25b6d441908b6e72, 0x40ac049128a55a1a, 0xb6688420a1b48ea8],
+    [0x867d8569753e1acd, 0x480a06671c13014b, 0xeb330b6fcffd2fc3, 0xc2bd7a8689d98206, 0xc7ee30835785c977, 0xa61f9a1010d883d8, 0x89e9fb649a41b368],
+    [0x9090281974f5e192, 0x14fd8d6aa1eb1319, 0xf5ebbc7e0da47d72, 0x734c8f8e3a4fd5e0, 0x4d009d6363b52b99, 0x4448eac3c70b9f40, 0x65711fa67e5a4c14],
+    [0x771513a2c7a6e08b, 0x673d4f58a7dfa7a4, 0x5a14bdbc562932ef, 0xf502ba41aa96238d, 0xd2e53a53c7e072bc, 0x3ab4929e50962959, 0x02d5e14a2c896544],
+    [0x4838533bed260d98, 0x38eec032fca0e655, 0x9a1cbb0a6f03e544, 0xa040785860237ea7, 0xab44dc30c0e5abe9, 0x931c59239aca44c3, 0x00887fde0d0e2fea],
+];
+
+/// The bits of every FPTAS trajectory are pinned: λ, bound, phases,
+/// settles, arc flows and per-commodity (per-group) rates of the fast
+/// (cold, warm, recorded-flows), strict, KSP and grouped (list and
+/// weighted) solves on the 50 seeded graphs hash to committed values.
+/// Any change to the phase loops that moves one bit fails here.
+#[test]
+fn fptas_trajectories_match_goldens_on_50_seeded_graphs() {
+    use dctopo::flow::ksp::max_concurrent_flow_ksp_csr;
+    use dctopo::flow::{max_concurrent_flow_warm, solve_grouped, DemandGroup, SinkSpec};
+    use dctopo::graph::CsrNet;
+    use std::sync::Arc;
+
+    let opts = solver_opts();
+    let mut table = [[0u64; 7]; 50];
+    for (seed, row) in table.iter_mut().enumerate() {
+        let g = seeded_graph(seed as u64);
+        let n = g.node_count();
+        let net = CsrNet::from_graph(&g);
+        // three sources with two sinks each, so source groups share trees
+        let cs: Vec<Commodity> = (0..3)
+            .flat_map(|i| {
+                [
+                    Commodity::unit(i, n / 2 + i),
+                    Commodity {
+                        src: i,
+                        dst: (n / 2 + i + 1) % n,
+                        demand: 0.5,
+                    },
+                ]
+            })
+            .collect();
+        let drifted: Vec<Commodity> = cs
+            .iter()
+            .enumerate()
+            .map(|(j, c)| Commodity {
+                demand: c.demand * (0.9 + 0.2 * (j as f64 / (cs.len() - 1) as f64)),
+                ..*c
+            })
+            .collect();
+        let (cold, state) = max_concurrent_flow_warm(&net, &cs, &opts, None).unwrap();
+        let (warm, _) = max_concurrent_flow_warm(&net, &drifted, &opts, Some(&state)).unwrap();
+        let recorded = dctopo::flow::solve(&net, &cs, &opts.with_commodity_flows(true)).unwrap();
+        let strict = dctopo::flow::solve(&net, &cs, &opts.with_strict_reference(true)).unwrap();
+        let ksp = max_concurrent_flow_ksp_csr(&net, &cs, 4, &opts).unwrap();
+        let list: Vec<DemandGroup> = (0..3)
+            .map(|i| DemandGroup {
+                src: i,
+                sinks: SinkSpec::List(
+                    cs.iter()
+                        .filter(|c| c.src == i)
+                        .map(|c| (c.dst, c.demand))
+                        .collect(),
+                ),
+            })
+            .collect();
+        let weights = Arc::new(vec![1.0; n]);
+        let all_to_all: Vec<DemandGroup> = (0..n)
+            .map(|v| DemandGroup::weighted(v, Arc::clone(&weights), 1.0))
+            .collect();
+        *row = [
+            solved_digest(&cold),
+            solved_digest(&warm),
+            solved_digest(&recorded),
+            solved_digest(&strict),
+            solved_digest(&ksp),
+            grouped_digest(&solve_grouped(&net, &list, &opts).unwrap()),
+            grouped_digest(&solve_grouped(&net, &all_to_all, &opts).unwrap()),
+        ];
+    }
+    let mismatches: Vec<String> = table
+        .iter()
+        .zip(&TRAJECTORY_GOLDENS)
+        .enumerate()
+        .flat_map(|(seed, (got, want))| {
+            (0..7)
+                .filter(move |&c| got[c] != want[c])
+                .map(move |c| format!("seed {seed} column {c}: {:#018x}", got[c]))
+        })
+        .collect();
+    let rows: Vec<String> = table
+        .iter()
+        .map(|row| {
+            let cells: Vec<String> = row.iter().map(|d| format!("{d:#018x}")).collect();
+            format!("    [{}],", cells.join(", "))
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "{} trajectory digests moved:\n{}\ncomputed table:\n{}",
+        mismatches.len(),
+        mismatches.join("\n"),
+        rows.join("\n")
+    );
+}
+
 /// On the sweep workload the fast path is tuned for — an RRG
 /// permutation matrix — the default FPTAS performs materially fewer
 /// Dijkstra-equivalent settles than the strict legacy trajectory while
