@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dctopo_bench::report::{self, SpeedupRecord};
-use dctopo_serve::{Json, ServeConfig, Server};
+use dctopo_obs::json::Json;
+use dctopo_serve::{ServeConfig, Server};
 use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
 use rand::rngs::StdRng;

@@ -12,6 +12,10 @@
 //!   gap, the per-cell hop bound, and settle counts), the shape
 //!   `topobench sweep --json` and the sweep bench emit.
 //!
+//! Both are written with the workspace's one JSON module
+//! ([`dctopo_obs::Json`]) as an array with one record per line; absent
+//! and non-finite numbers are `null`.
+//!
 //! Benches call [`emit_from_env`] after their correctness gate: when the
 //! `DCTOPO_BENCH_JSON` environment variable names a path, the records
 //! are written there (and the path echoed to stderr); otherwise the call
@@ -28,6 +32,7 @@
 use std::io;
 
 use dctopo_core::SweepCell;
+use dctopo_obs::Json;
 
 /// One old-vs-new comparison on a fixed benchmark instance.
 #[derive(Debug, Clone)]
@@ -69,38 +74,35 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON object from `(key, value)` pairs, in order.
+fn object(fields: Vec<(&str, Json)>) -> Json {
+    Json::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A JSON array with one record per line, so committed artifacts diff
+/// record by record.
+fn rows(records: impl Iterator<Item = Json>) -> String {
+    let lines: Vec<String> = records.map(|r| format!("  {r}")).collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
 /// Render records in the shared schema.
 pub fn to_json(records: &[SpeedupRecord]) -> String {
-    let rows: Vec<String> = records
-        .iter()
-        .map(|r| {
-            format!(
-                "  {{\"name\": \"{}\", \"instance\": \"{}\", \"old_ms\": {:.3}, \"new_ms\": {:.3}, \"speedup\": {:.3}, \"peak_rss_bytes\": {}}}",
-                escape(&r.name),
-                escape(&r.instance),
-                r.old_ms,
-                r.new_ms,
-                r.speedup(),
-                r.peak_rss_bytes
-                    .map_or("null".into(), |b| b.to_string()),
-            )
-        })
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
+    rows(records.iter().map(|r| {
+        object(vec![
+            ("name", r.name.as_str().into()),
+            ("instance", r.instance.as_str().into()),
+            ("old_ms", r.old_ms.into()),
+            ("new_ms", r.new_ms.into()),
+            ("speedup", r.speedup().into()),
+            ("peak_rss_bytes", r.peak_rss_bytes.into()),
+        ])
+    }))
 }
 
 /// Write records to `path` in the shared schema.
@@ -182,45 +184,29 @@ impl From<&SweepCell> for SweepCellRecord {
     }
 }
 
-/// A float field: `null` when absent or non-finite (JSON has no `inf`;
-/// an all-local-traffic cell's λ is `∞`).
-fn num(x: Option<f64>) -> String {
-    match x {
-        Some(v) if v.is_finite() => format!("{v:.6}"),
-        _ => "null".into(),
-    }
-}
-
-/// Render sweep cells in the shared schema.
+/// Render sweep cells in the shared schema. Absent and non-finite
+/// metrics are `null` (JSON has no `inf`; an all-local-traffic cell's
+/// λ is `∞`).
 pub fn cells_to_json(cells: &[SweepCellRecord]) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "  {{\"topology\": \"{}\", \"run\": {}, \"scenario\": \"{}\", \
-                 \"traffic\": \"{}\", \"backend\": \"{}\", \"switches\": {}, \
-                 \"live_links\": {}, \"flows\": {}, \"status\": \"{}\", \
-                 \"throughput\": {}, \"network_lambda\": {}, \"upper_bound\": {}, \
-                 \"gap\": {}, \"hop_bound\": {}, \"settles\": {}}}",
-                escape(&c.topology),
-                c.run,
-                escape(&c.scenario),
-                escape(&c.traffic),
-                escape(&c.backend),
-                c.switches,
-                c.live_links,
-                c.flows,
-                escape(&c.status),
-                num(c.throughput),
-                num(c.network_lambda),
-                num(c.upper_bound),
-                num(c.gap),
-                num(c.hop_bound),
-                c.settles.map_or("null".into(), |s| s.to_string()),
-            )
-        })
-        .collect();
-    format!("[\n{}\n]\n", rows.join(",\n"))
+    rows(cells.iter().map(|c| {
+        object(vec![
+            ("topology", c.topology.as_str().into()),
+            ("run", c.run.into()),
+            ("scenario", c.scenario.as_str().into()),
+            ("traffic", c.traffic.as_str().into()),
+            ("backend", c.backend.as_str().into()),
+            ("switches", c.switches.into()),
+            ("live_links", c.live_links.into()),
+            ("flows", c.flows.into()),
+            ("status", c.status.as_str().into()),
+            ("throughput", c.throughput.into()),
+            ("network_lambda", c.network_lambda.into()),
+            ("upper_bound", c.upper_bound.into()),
+            ("gap", c.gap.into()),
+            ("hop_bound", c.hop_bound.into()),
+            ("settles", c.settles.into()),
+        ])
+    }))
 }
 
 /// Write sweep cells to `path` in the shared schema.
@@ -253,15 +239,35 @@ mod tests {
         assert!((rec.speedup() - 2.0).abs() < 1e-12);
         let json = to_json(std::slice::from_ref(&rec));
         assert!(json.starts_with("[\n"));
-        assert!(json.contains("\"name\": \"fptas_fast\""));
-        assert!(json.contains("\\\"sweep\\\""));
-        assert!(json.contains("\"speedup\": 2.000"));
-        assert!(json.contains("\"peak_rss_bytes\": 2048"));
+        let parsed = Json::parse(&json).expect("valid JSON");
+        let row = &parsed.as_arr().expect("array")[0];
+        assert_eq!(
+            row.keys(),
+            [
+                "name",
+                "instance",
+                "old_ms",
+                "new_ms",
+                "speedup",
+                "peak_rss_bytes"
+            ]
+        );
+        assert_eq!(row.get("name").and_then(Json::as_str), Some("fptas_fast"));
+        assert_eq!(
+            row.get("instance").and_then(Json::as_str),
+            Some("RRG(64, 12, 8) \"sweep\"")
+        );
+        assert_eq!(row.get("speedup").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(row.get("peak_rss_bytes").and_then(Json::as_u64), Some(2048));
         let absent = SpeedupRecord {
             peak_rss_bytes: None,
             ..rec
         };
-        assert!(to_json(&[absent]).contains("\"peak_rss_bytes\": null"));
+        let parsed = Json::parse(&to_json(&[absent])).expect("valid JSON");
+        assert_eq!(
+            parsed.as_arr().unwrap()[0].get("peak_rss_bytes"),
+            Some(&Json::Null)
+        );
     }
 
     #[test]
@@ -272,11 +278,6 @@ mod tests {
             let rss = peak_rss_bytes().expect("VmHWM present on Linux");
             assert!(rss > 1 << 20, "peak RSS {rss} implausibly small");
         }
-    }
-
-    #[test]
-    fn escape_controls() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 
     #[test]
@@ -322,13 +323,20 @@ mod tests {
         let records: Vec<SweepCellRecord> =
             [&ok, &local, &failed].into_iter().map(Into::into).collect();
         let json = cells_to_json(&records);
-        assert!(json.contains("\"status\": \"ok\""));
-        assert!(json.contains("\"throughput\": 0.750000"));
-        assert!(json.contains("\"settles\": 123"));
+        let parsed = Json::parse(&json).expect("valid JSON");
+        let [ok, local, failed] = parsed.as_arr().expect("array") else {
+            panic!("three rows expected: {json}");
+        };
+        assert_eq!(ok.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(ok.get("throughput").and_then(Json::as_f64), Some(0.75));
+        assert_eq!(ok.get("settles").and_then(Json::as_u64), Some(123));
         // infinities serialize as null, keeping the artifact valid JSON
-        assert!(json.contains("\"network_lambda\": null"));
+        assert_eq!(local.get("network_lambda"), Some(&Json::Null));
         // errors carry their display text and null metrics
-        assert!(json.contains("unreachable"));
+        let status = failed.get("status").and_then(Json::as_str).unwrap();
+        assert!(status.contains("unreachable"), "{status}");
+        assert_eq!(failed.get("throughput"), Some(&Json::Null));
+        assert_eq!(failed.get("settles"), Some(&Json::Null));
         assert_eq!(records[2].throughput, None);
     }
 }

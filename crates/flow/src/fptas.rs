@@ -16,69 +16,60 @@
 //! We track the best (smallest) dual bound seen and stop as soon as the
 //! certified primal/dual gap is below `target_gap`.
 //!
-//! ## Two execution strategies
+//! ## One routing step, two tree policies
 //!
-//! Commodities are grouped by source; routing is *sequential in fixed
-//! group order* in both modes, so seeded runs are bit-identical at every
-//! thread count either way. [`crate::FlowOptions::strict_reference`]
-//! selects the trajectory:
+//! The phase loop (rescale, congestion scaling, best snapshot, stop
+//! rules, ε anneal) is the shared driver in `driver.rs`. This module is
+//! its *per-sink* routing step: commodities are grouped by source, and
+//! each augmentation charges every sink's remaining demand to the
+//! group's shortest-path tree, takes the capacity-scaled step `τ` and
+//! grows the lengths of the arcs it used. Groups route *sequentially in
+//! fixed order*; [`crate::FlowOptions::strict_reference`] selects the
+//! tree policy:
 //!
-//! * **Fast path (default).** Each source group keeps a *full*
-//!   shortest-path tree in its [`DijkstraWorkspace`] and routes against
-//!   it through a three-tier reuse ladder (see [`solve_fast`] docs):
-//!   exact reuse of untouched paths (increase-only lengths keep them
-//!   *exactly* shortest), Fleischer `(1+ε·δ)` drift tolerance for
-//!   touched ones, and [`CsrNet::dijkstra_repair`] — an increase-only
-//!   incremental re-settle of just the drifted subtree, fed by a global
-//!   length-increase log with one cursor per group — beyond the gate.
-//!   Every few phases all trees are rebuilt in one **rayon-parallel**
-//!   exact pass, the dual bound is harvested every phase for free from
-//!   the (possibly mixed-age) trees, `D(l)` is maintained incrementally
-//!   at the length-update sites (verified against the full sum in debug
-//!   builds), and the step size ε anneals from coarse to the configured
-//!   value as the certified gap closes. None of this bends correctness:
-//!   the primal stays feasible by construction (capacity-scaled steps)
-//!   and `D(l)/α(l)` upper-bounds λ* for *any* positive lengths, so the
-//!   reported gap is certified no matter how the trajectory was chosen.
-//! * **Strict path** (`strict_reference: true`). The retained
-//!   pre-fast-path trajectory: every inner augmentation recomputes the
-//!   group's shortest-path tree under the current lengths with
-//!   target-set early termination — operation-for-operation the
-//!   trajectory of [`crate::reference`], so the two produce
-//!   bit-identical results. This is the escape hatch that keeps the
-//!   legacy baseline pinned.
+//! * **Reuse (default).** Each group keeps a *full* tree in its
+//!   [`DijkstraWorkspace`] and routes against it through a three-tier
+//!   ladder: (1) *exact reuse* — lengths only grow, so a path none of
+//!   whose arcs changed since the tree was built is still shortest;
+//!   (2) *Fleischer drift tolerance* — a touched path is still routed
+//!   while its length stays within `1 + ε·DRIFT_FRACTION` of its tree
+//!   distance; (3) *incremental repair* — [`CsrNet::dijkstra_repair`]
+//!   re-settles just the subtrees under the arcs that grew, read from a
+//!   global length-increase log with one cursor per group. Every
+//!   [`EXACT_PASS_EVERY`] phases all trees are rebuilt in one
+//!   **rayon-parallel** pass; the dual is harvested every phase from the
+//!   (possibly mixed-age) trees with `D(l)` kept incrementally; a cold
+//!   solve anneals ε down from [`COARSE_EPS`]; a [`WarmState`] seeds a
+//!   re-solve. None of this bends correctness: the primal is feasible by
+//!   construction and `D(l)/α(l)` bounds λ* for *any* positive lengths.
+//! * **Fresh** (`strict_reference: true`). Every augmentation builds a
+//!   new target-terminated tree, lengths grow by dividing by the
+//!   capacity, and the exact dual is taken every 8 phases —
+//!   operation-for-operation the trajectory of [`crate::reference`], so
+//!   the two produce bit-identical results (the pinned legacy baseline).
 //!
-//! Every multi-tree pass (the strict dual pass, the fast path's batched
-//! rebuilds) writes into disjoint per-group workspaces and fans out on
-//! **rayon**, with every floating-point reduction performed sequentially
-//! in fixed group order — so a seeded run is **bit-identical at every
-//! thread count**. Routing itself is kept sequential deliberately:
-//! length updates are a serial dependency, and routing on stale length
-//! snapshots (the obvious way to parallelise it) measurably slows
-//! convergence — more phases to reach `target_gap` than the parallel
-//! passes save.
+//! Whole-tree passes write disjoint per-group workspaces and every float
+//! reduction runs sequentially in group order, so a seeded run is
+//! **bit-identical at every thread count**. Routing stays sequential on
+//! purpose: routing on stale length snapshots (the obvious way to
+//! parallelise it) measurably costs more phases than it saves.
 
 use std::collections::HashMap;
+use std::time::Instant;
 
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 use rayon::prelude::*;
 
+// re-exported: the independent `reference` oracle clamps with it too
+pub(crate) use crate::driver::RESCALE_ABOVE;
+use crate::driver::{weighted_length_sum, Driver, PerCap, Step};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
-/// Minimum `source groups × arcs` before the dual-bound Dijkstra pass
-/// fans out on rayon; below this, even a pool dispatch costs more than
-/// the pass. Rayon's persistent worker pool made fan-out ~two orders of
-/// magnitude cheaper than the scoped-thread spawning this gate was
-/// originally calibrated for (65536), so instances as small as a
-/// 32-switch RRG now take the parallel path.
+/// Minimum `source groups × arcs` before a whole-tree pass fans out on
+/// rayon; below this, even a pool dispatch costs more than the pass (a
+/// 32-switch RRG already takes the parallel path).
 const PARALLEL_DUAL_MIN_WORK: usize = 1 << 12;
-
-/// The dual bound D(l)/α(l) is invariant under uniform scaling of all
-/// lengths, and so are shortest paths — so we rescale whenever lengths
-/// grow large to avoid overflow corrupting the bound. Shared by every
-/// length-based solver in the crate.
-pub(crate) const RESCALE_ABOVE: f64 = 1e100;
 
 /// Terminal solver state a later solve can warm-start from: the arc
 /// length function the FPTAS ended on.
@@ -91,14 +82,12 @@ pub(crate) const RESCALE_ABOVE: f64 = 1e100;
 /// certificates. A warm solve's reported `(throughput, upper_bound)`
 /// interval is certified exactly as a cold one's is.
 ///
-/// Warm states transfer across [`CsrNet`] **views** of one structure:
-/// arc ids are stable across `with_capacity_overrides` /
-/// `with_scaled_capacity` views, and the lengths are re-anchored (and
-/// invalid entries healed per-arc) by the normalization in
-/// [`max_concurrent_flow_warm`], so a state learned under one capacity
-/// profile is a usable starting point for a re-rated or drifted-demand
-/// solve of the same structure. An empty state (the default) means
-/// "cold": solving with it is identical to [`max_concurrent_flow_csr`].
+/// Warm states transfer across [`CsrNet`] **views** of one structure
+/// (arc ids are stable across capacity views, and the lengths are
+/// re-anchored and healed per arc on use), so a state learned under one
+/// capacity profile seeds a re-rated or drifted-demand solve of the
+/// same structure. An empty state (the default) means "cold": solving
+/// with it is identical to [`max_concurrent_flow_csr`].
 #[derive(Debug, Clone, Default)]
 pub struct WarmState {
     /// Terminal arc lengths (empty = cold). Indexed by arc id of the
@@ -187,68 +176,57 @@ const EXACT_PASS_EVERY: usize = 2;
 /// spot between skipped rebuilds and routing reactivity.
 const DRIFT_FRACTION: f64 = 0.5;
 
-/// One source group: commodities sharing a source, plus the group's
-/// persistent Dijkstra scratch state.
+/// Fresh-tree policy: take the exact dual every this many phases (it
+/// changes slowly and costs a tree per source group).
+const STRICT_DUAL_EVERY: usize = 8;
+
+/// One sink of a source group: (commodity index, dst, demand).
+type Sink = (usize, NodeId, f64);
+
+/// One source group: commodities sharing a source, and its tree.
 struct GroupState {
     src: NodeId,
-    /// (commodity index, dst, demand)
-    sinks: Vec<(usize, NodeId, f64)>,
-    /// Unique sink nodes: the strict path's Dijkstra stops once all of
-    /// them are settled (the fast path keeps full trees instead).
+    sinks: Vec<Sink>,
+    /// Unique sink nodes, where a fresh tree stops.
     targets: Vec<u32>,
-    /// Per-group scratch: written by the parallel pass, read by routing.
-    /// In fast mode it holds the group's persistent shortest-path tree.
     ws: DijkstraWorkspace,
     /// Per-sink demand left to route in the current phase.
     remaining: Vec<f64>,
-    /// Fast path: absolute increase-log position up to which this
+    /// Reuse policy: absolute increase-log position up to which this
     /// group's tree is exact (pending repairs start there).
     cursor: usize,
-    /// Fast path: the tree's stored distances are unusable (after a
-    /// uniform length rescale) — recompute in full before routing.
+    /// Reuse policy: stored distances predate a uniform rescale —
+    /// rebuild before routing.
     needs_full: bool,
 }
 
 fn group_by_source(commodities: &[Commodity], n: usize) -> Vec<GroupState> {
-    let mut groups: Vec<GroupState> = Vec::new();
-    // hash-map index over sources; `groups` itself preserves first-seen
-    // source order, so grouping stays stable while lookup is O(1)
-    // (the old linear rescan was quadratic on all-to-all matrices)
+    // hash-map index over sources in first-seen order: stable grouping
+    // with O(1) lookup (a linear rescan is quadratic on all-to-all)
     let mut index: HashMap<NodeId, usize> = HashMap::with_capacity(commodities.len().min(n));
+    let mut by_src: Vec<(NodeId, Vec<Sink>)> = Vec::new();
     for (i, c) in commodities.iter().enumerate() {
-        match index.get(&c.src) {
-            Some(&gi) => groups[gi].sinks.push((i, c.dst, c.demand)),
-            None => {
-                index.insert(c.src, groups.len());
-                groups.push(GroupState {
-                    src: c.src,
-                    sinks: vec![(i, c.dst, c.demand)],
-                    targets: Vec::new(),
-                    ws: DijkstraWorkspace::new(n),
-                    remaining: Vec::new(),
-                    cursor: 0,
-                    needs_full: false,
-                });
-            }
+        let gi = *index.entry(c.src).or_insert_with(|| {
+            by_src.push((c.src, Vec::new()));
+            by_src.len() - 1
+        });
+        by_src[gi].1.push((i, c.dst, c.demand));
+    }
+    let group = |(src, sinks): (NodeId, Vec<Sink>)| {
+        let mut targets: Vec<u32> = sinks.iter().map(|&(_, dst, _)| dst as u32).collect();
+        targets.sort_unstable();
+        targets.dedup();
+        GroupState {
+            src,
+            remaining: vec![0.0; sinks.len()],
+            sinks,
+            targets,
+            ws: DijkstraWorkspace::new(n),
+            cursor: 0,
+            needs_full: false,
         }
-    }
-    for g in &mut groups {
-        g.remaining = vec![0.0; g.sinks.len()];
-        g.targets = g.sinks.iter().map(|&(_, dst, _)| dst as u32).collect();
-        g.targets.sort_unstable();
-        g.targets.dedup();
-    }
-    groups
-}
-
-/// `D(l) = Σ_a c(a)·l(a)` as one full pass (the strict path's per-call
-/// form, and the fast path's init/rescale/debug-verification form).
-fn weighted_length_sum(net: &CsrNet, length: &[f64]) -> f64 {
-    length
-        .iter()
-        .zip(net.capacities())
-        .map(|(&l, &c)| l * c)
-        .sum()
+    };
+    by_src.into_iter().map(group).collect()
 }
 
 /// Solve max concurrent flow on `net` for `commodities` with the
@@ -257,7 +235,8 @@ fn weighted_length_sum(net: &CsrNet, length: &[f64]) -> f64 {
 /// Returns a [`SolvedFlow`] whose `throughput` is a *feasible* concurrent
 /// rate and whose `upper_bound` certifies how far from optimal it can be.
 /// [`FlowOptions::strict_reference`] selects between the incremental
-/// fast path (default) and the legacy trajectory (see module docs).
+/// reuse policy (default) and the legacy fresh-tree trajectory (see
+/// module docs).
 ///
 /// # Errors
 ///
@@ -277,17 +256,13 @@ pub fn max_concurrent_flow_csr(
 /// [`WarmState`] and return the new terminal state for the next solve.
 ///
 /// `warm: None` (or an empty/ill-sized state) is **bit-identical** to
-/// the cold [`max_concurrent_flow_csr`] — the warm hook changes nothing
-/// until a usable state is supplied. The strict path
+/// the cold [`max_concurrent_flow_csr`]. The strict path
 /// ([`FlowOptions::strict_reference`]) never warm-starts (its whole
-/// point is the pinned legacy trajectory) and returns a cold state.
-///
-/// A warm-started solve follows a different — typically much shorter —
-/// trajectory, but its certificates are as strong as a cold solve's:
-/// the primal is feasible by construction and the dual bound holds for
-/// any positive lengths (see [`WarmState`]). Warm solves also skip the
-/// coarse-ε annealing ramp: the inherited lengths already encode the
-/// congestion landscape the ramp exists to discover.
+/// point is the pinned legacy trajectory) and returns a cold state. A
+/// warm solve follows a different — typically much shorter —
+/// trajectory with certificates as strong as a cold one's (see
+/// [`WarmState`]), and skips the coarse-ε ramp: the inherited lengths
+/// already encode the congestion landscape the ramp exists to discover.
 ///
 /// # Errors
 /// As [`max_concurrent_flow_csr`].
@@ -298,75 +273,218 @@ pub fn max_concurrent_flow_warm(
     warm: Option<&WarmState>,
 ) -> Result<(SolvedFlow, WarmState), FlowError> {
     validate(net.node_count(), commodities, opts)?;
-    if net.arc_count() == 0 {
-        // commodities exist but there are no edges at all
-        let c = &commodities[0];
-        return Err(FlowError::Unreachable {
-            src: c.src,
-            dst: c.dst,
-        });
-    }
-    if opts.strict_reference {
-        Ok((solve_strict(net, commodities, opts)?, WarmState::cold()))
+    let t_solve = obs::clock();
+    let strict = opts.strict_reference;
+    // an unusable warm state degrades to the cold `1/c(a)` opener
+    let warm_init = warm.filter(|_| !strict).and_then(|w| warm_lengths(net, w));
+    let warm_started = warm_init.is_some();
+    let length = warm_init.unwrap_or_else(|| net.inv_capacities().to_vec());
+    let mut step = SinkStep {
+        net,
+        groups: group_by_source(commodities, net.node_count()),
+        strict,
+        tree_load: vec![0.0; net.arc_count()],
+        touched: Vec::new(),
+        d_l: weighted_length_sum(net, &length),
+        log: Vec::new(),
+        base: 0,
+        updated_at: vec![usize::MAX; net.arc_count()],
+        sssp_runs: 0,
+        tiers: Tiers::default(),
+        totals: Tiers::default(),
+    };
+    let (per_cap, mode) = if strict {
+        (PerCap::Divide, "strict")
     } else {
-        solve_fast(net, commodities, opts, warm)
+        (PerCap::Reciprocal, "fast")
+    };
+    let demand = commodities.iter().map(|c| c.demand).collect();
+    let record = opts.record_commodity_flows;
+    let mut driver = Driver::new(net, opts, length, demand, per_cap, record);
+    // a cold fast solve opens at a coarse ε (few, productive phases
+    // while the primal is far from optimal) that the driver anneals
+    if !strict && !warm_started {
+        driver.eps = opts.epsilon.max(COARSE_EPS);
+    }
+    // seeds every group's tree and checks reachability up front
+    step.rebuild_all(&driver.length);
+    driver.offer_dual(step.d_l / step.alpha()?);
+
+    let (mut sol, length) = driver.run(&mut step)?;
+    sol.settles = step.settles();
+    if obs::enabled() {
+        let mut ev = obs::Event::new("fptas_solve").field("mode", mode);
+        if !strict {
+            ev = ev.field("warm", warm_started);
+        }
+        ev = ev
+            .field("groups", step.groups.len())
+            .field("commodities", commodities.len())
+            .field("phases", sol.phases as u64)
+            .field("settles", sol.settles)
+            .field("sssp_runs", step.sssp_runs);
+        if !strict {
+            ev = step.totals.fields(ev);
+        }
+        ev.field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .nd("wall_us", obs::us_since(t_solve))
+            .emit();
+    }
+    let state = if strict {
+        WarmState::cold()
+    } else {
+        WarmState { lengths: length }
+    };
+    Ok((sol, state))
+}
+
+/// Reuse-ladder telemetry: augmentations accepted on an exact tree
+/// (tier 1, or after a repair or rebuild), accepted inside the drift
+/// gate (tier 2), incremental repairs (tier 3), and post-rescale full
+/// rebuilds. Deterministic (pure functions of the trajectory) and cheap,
+/// so they are kept unconditionally; only emission is gated.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tiers {
+    exact: u64,
+    drift: u64,
+    repairs: u64,
+    rebuilds: u64,
+}
+
+impl Tiers {
+    fn absorb(&mut self, p: Tiers) {
+        self.exact += p.exact;
+        self.drift += p.drift;
+        self.repairs += p.repairs;
+        self.rebuilds += p.rebuilds;
+    }
+
+    fn fields(self, ev: obs::Event) -> obs::Event {
+        ev.field("aug_exact", self.exact)
+            .field("aug_drift", self.drift)
+            .field("repairs", self.repairs)
+            .field("rescale_rebuilds", self.rebuilds)
     }
 }
 
-/// The legacy trajectory: recompute each group's (early-terminated)
-/// shortest-path tree on every inner augmentation. Bit-identical to
-/// [`crate::reference::max_concurrent_flow_graph`].
-fn solve_strict(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
-    let mut groups = group_by_source(commodities, net.node_count());
-    let inv_cap = net.inv_capacities();
+/// The per-sink routing step under either tree policy.
+struct SinkStep<'a> {
+    net: &'a CsrNet,
+    groups: Vec<GroupState>,
+    /// Fresh-tree policy (the strict trajectory) instead of reuse.
+    strict: bool,
+    /// Per-arc load of the current augmentation and the arcs it uses.
+    tree_load: Vec<f64>,
+    touched: Vec<usize>,
+    /// Reuse policy: `D(l)`, kept at the length-update site (summed in
+    /// full only at init and after a rescale).
+    d_l: f64,
+    /// Reuse policy: the global monotone increase log. `clock = base +
+    /// log.len()` is an absolute event counter; a tree built at absolute
+    /// cursor `c` repairs with `log[c - base..]`. Compacted at every
+    /// exact pass, when every cursor reaches the clock.
+    log: Vec<u32>,
+    base: usize,
+    /// Reuse policy: each arc's last update index (exact-reuse stamp).
+    updated_at: Vec<usize>,
+    /// Trees built from scratch (repairs are counted apart).
+    sssp_runs: u64,
+    tiers: Tiers,
+    totals: Tiers,
+}
 
-    // lengths l(a) = 1/c(a) initially
-    let mut length: Vec<f64> = inv_cap.to_vec();
-    // raw (pre-scaling) accumulated flow
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    let mut routed = vec![0.0f64; commodities.len()];
-    // optional per-commodity arc-flow record, same units as arc_flow
-    let mut cf: Option<Vec<Vec<f64>>> = opts
-        .record_commodity_flows
-        .then(|| vec![vec![0.0f64; num_arcs]; commodities.len()]);
-
-    let mut best_dual = f64::INFINITY;
-    // reachability check up front (also seeds the first dual bound)
-    let d_l = weighted_length_sum(net, &length);
-    if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, false)? {
-        best_dual = best_dual.min(bound);
+impl SinkStep<'_> {
+    fn settles(&self) -> u64 {
+        self.groups.iter().map(|g| g.ws.settles()).sum()
     }
-    // shortest-path trees built: the dual passes plus one per augmentation
-    let mut sssp_runs = groups.len() as u64;
-    // evaluate the dual every few phases (it changes slowly and costs a
-    // Dijkstra per source group — the parallel pass)
-    let dual_every = 8usize;
-    // plateau detection: stop when the primal stops improving materially
-    let mut last_primal_check = 0.0f64;
-    let mut stagnant_phases = 0usize;
 
-    let mut best: Option<SolvedFlow> = None;
-    let mut phases = 0usize;
-    // routing scratch shared across groups (routing is sequential)
-    let mut tree_load = vec![0.0f64; num_arcs];
-    let mut touched: Vec<usize> = Vec::new();
-    let t_solve = obs::clock();
+    /// Rebuild every group's tree against `length` — full trees under
+    /// the reuse policy (aligning every repair cursor), target-terminated
+    /// ones under the fresh policy — into disjoint workspaces, on rayon
+    /// when the pass is big enough. Results are identical either way.
+    fn rebuild_all(&mut self, length: &[f64]) {
+        let (net, full) = (self.net, !self.strict);
+        let clock = self.base + self.log.len();
+        let rebuild = |g: &mut GroupState| {
+            if full {
+                net.dijkstra(g.src, length, &mut g.ws);
+            } else {
+                net.dijkstra_targets(g.src, length, &g.targets, &mut g.ws);
+            }
+            g.cursor = clock;
+            g.needs_full = false;
+        };
+        if self.groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
+            self.groups.par_iter_mut().for_each(rebuild);
+        } else {
+            self.groups.iter_mut().for_each(rebuild);
+        }
+        self.sssp_runs += self.groups.len() as u64;
+    }
 
-    while phases < opts.max_phases {
-        phases += 1;
-        let t_phase = obs::clock();
-        // sequential routing in fixed group order, shortest paths always
-        // under the *current* lengths (see module docs for why routing
-        // is not parallelised)
-        for g in &mut groups {
-            for (k, &(_, _, d)) in g.sinks.iter().enumerate() {
-                g.remaining[k] = d;
+    /// `α = Σ_j d_j · dist_j` over the stored trees, reduced
+    /// sequentially in group order (bit-identical at every thread
+    /// count). Stored distances are exact under the lengths each tree
+    /// was built at; lengths only grow, so on mixed-age trees this is a
+    /// lower bound on `α(l)` and `D(l)/α` is still a valid bound.
+    fn alpha(&self) -> Result<f64, FlowError> {
+        let mut alpha = 0.0f64;
+        for g in &self.groups {
+            for &(_, dst, demand) in &g.sinks {
+                let d = g.ws.distance(dst);
+                if !d.is_finite() {
+                    return Err(FlowError::Unreachable { src: g.src, dst });
+                }
+                alpha += demand * d;
+            }
+        }
+        Ok(alpha)
+    }
+}
+
+impl Step for SinkStep<'_> {
+    /// Reuse policy: the periodic exact pass and the per-phase dual.
+    /// Trees are otherwise rebuilt lazily by the ladder (a speculative
+    /// per-phase refresh double-pays: earlier groups of the same phase
+    /// often drift a tree again before its turn). The mixed-age bound is
+    /// skipped after a rescale, while un-rebuilt trees hold pre-rescale
+    /// distances that would fabricate a too-small (invalid) bound.
+    fn begin_phase(&mut self, d: &mut Driver) -> Result<(), FlowError> {
+        if self.strict {
+            return Ok(());
+        }
+        let exact_pass = d.due(EXACT_PASS_EVERY);
+        if exact_pass {
+            self.rebuild_all(&d.length);
+        }
+        if self.groups.iter().all(|g| !g.needs_full) {
+            #[cfg(debug_assertions)]
+            {
+                let full = weighted_length_sum(self.net, &d.length);
+                debug_assert!(
+                    (self.d_l - full).abs() <= 1e-6 * full.max(f64::MIN_POSITIVE),
+                    "incremental D(l) drifted: {} vs {full}",
+                    self.d_l
+                );
+            }
+            d.offer_dual(self.d_l / self.alpha()?);
+        }
+        if exact_pass {
+            // every cursor is at the clock: compact the increase log
+            self.base += self.log.len();
+            self.log.clear();
+        }
+        Ok(())
+    }
+
+    fn route(&mut self, d: &mut Driver) -> Result<(), FlowError> {
+        let net = self.net;
+        // tier-2 gate (see DRIFT_FRACTION)
+        let drift = 1.0 + d.eps * DRIFT_FRACTION;
+        for g in &mut self.groups {
+            for (k, &(_, _, dem)) in g.sinks.iter().enumerate() {
+                g.remaining[k] = dem;
             }
             let mut inner = 0usize;
             // route until the group's phase demand is (essentially) done
@@ -378,45 +496,73 @@ fn solve_strict(
                     // unaffected — `routed` only counts what was sent).
                     break;
                 }
-                net.dijkstra_targets(g.src, &length, &g.targets, &mut g.ws);
-                sssp_runs += 1;
-                // accumulate load if all remaining demand were routed
-                touched.clear();
-                for (k, &(_, dst, _)) in g.sinks.iter().enumerate() {
-                    let r = g.remaining[k];
-                    if r <= 1e-12 {
-                        continue;
+                let mut exact = true;
+                if self.strict {
+                    net.dijkstra_targets(g.src, &d.length, &g.targets, &mut g.ws);
+                    self.sssp_runs += 1;
+                } else {
+                    if g.needs_full {
+                        // post-rescale: stored distances are in
+                        // pre-rescale units, so the gate cannot be
+                        // trusted — rebuild
+                        net.dijkstra(g.src, &d.length, &mut g.ws);
+                        g.cursor = self.base + self.log.len();
+                        g.needs_full = false;
+                        self.tiers.rebuilds += 1;
+                        self.sssp_runs += 1;
                     }
-                    if !g.ws.distance(dst).is_finite() {
-                        return Err(FlowError::Unreachable { src: g.src, dst });
+                    exact = self.base + self.log.len() == g.cursor;
+                }
+                // charge the tree; a drifted reuse tree is repaired at
+                // most once per augmentation (a repaired tree is exact;
+                // every stored reuse tree is full, as repair requires)
+                while charge(
+                    net,
+                    g,
+                    &d.length,
+                    &self.updated_at,
+                    (!exact).then_some(drift),
+                    &mut self.tree_load,
+                    &mut self.touched,
+                )? {
+                    for &a in &self.touched {
+                        self.tree_load[a] = 0.0;
                     }
-                    g.ws.walk_path(net, dst, |a| {
-                        if tree_load[a] == 0.0 {
-                            touched.push(a);
-                        }
-                        tree_load[a] += r;
-                    });
+                    net.dijkstra_repair(
+                        g.src,
+                        &d.length,
+                        &self.log[g.cursor - self.base..],
+                        &mut g.ws,
+                    );
+                    g.cursor = self.base + self.log.len();
+                    exact = true;
+                    self.tiers.repairs += 1;
+                }
+                if exact {
+                    self.tiers.exact += 1;
+                } else {
+                    self.tiers.drift += 1;
                 }
                 // capacity-scaled step: never send more than c(a) on any arc
                 let mut tau = 1.0f64;
-                for &a in &touched {
-                    tau = tau.min(net.capacity(a) / tree_load[a]);
+                for &a in &self.touched {
+                    tau = tau.min(net.capacity(a) / self.tree_load[a]);
                 }
-                // send τ·remaining along the tree, update lengths.
-                // Divide by the capacity (rather than multiplying by the
-                // precomputed reciprocal the fast path uses): division
-                // is what `reference` does, and the strict path's whole
-                // point is ulp-for-ulp agreement with it.
-                for &a in &touched {
-                    let sent = tau * tree_load[a];
-                    arc_flow[a] += sent;
-                    length[a] *= 1.0 + eps * (sent / net.capacity(a));
-                    tree_load[a] = 0.0;
+                for &a in &self.touched {
+                    let (old, new) = d.send(a, tau * self.tree_load[a]);
+                    if !self.strict {
+                        // incremental D(l), the repair log and the
+                        // exact-reuse stamp, kept where lengths change
+                        self.d_l += net.capacity(a) * (new - old);
+                        self.updated_at[a] = self.base + self.log.len();
+                        self.log.push(a as u32);
+                    }
+                    self.tree_load[a] = 0.0;
                 }
                 // mirror the same tree walk into the per-commodity
                 // record before `remaining` is consumed; the workspace
                 // still holds the tree the load was charged along
-                if let Some(cf) = cf.as_mut() {
+                if let Some(cf) = d.cf.as_mut() {
                     for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
                         let r = g.remaining[k];
                         if r <= 1e-12 {
@@ -428,7 +574,7 @@ fn solve_strict(
                 }
                 for (k, &(j, _, _)) in g.sinks.iter().enumerate() {
                     let sent = tau * g.remaining[k];
-                    routed[j] += sent;
+                    d.routed[j] += sent;
                     g.remaining[k] -= sent;
                 }
                 if tau >= 1.0 {
@@ -436,606 +582,95 @@ fn solve_strict(
                 }
             }
         }
-
-        // rescale lengths when they get large (scale-invariant)
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-        }
-
-        // certified primal: scale by max congestion
-        let mu = arc_flow
-            .iter()
-            .zip(net.capacities())
-            .map(|(&f, &c)| f / c)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| routed[j] / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
-
-        // certified dual: D(l)/α(l) at current lengths, every few phases
-        // — the rayon-parallel source-group Dijkstra pass
-        if phases.is_multiple_of(dual_every) || phases == opts.max_phases {
-            let d_l = weighted_length_sum(net, &length);
-            if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, false)? {
-                best_dual = best_dual.min(bound);
-            }
-            sssp_runs += groups.len() as u64;
-        }
-
-        // emission sits in the sequential phase loop, so the event
-        // sequence is deterministic whenever solves themselves are run
-        // sequentially (see dctopo-obs crate docs)
-        if obs::enabled() {
-            obs::Event::new("fptas_phase")
-                .field("mode", "strict")
-                .field("phase", phases as u64)
-                .field("eps", eps)
-                .field("primal", primal)
-                .field("dual", best_dual)
-                .field(
-                    "settles",
-                    groups.iter().map(|g| g.ws.settles()).sum::<u64>(),
-                )
-                .nd("wall_us", obs::us_since(t_phase))
-                .emit();
-        }
-
-        let better = best.as_ref().is_none_or(|b| primal > b.throughput);
-        if better {
-            best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                commodity_rate: routed.iter().map(|&r| r / mu).collect(),
-                phases,
-                settles: 0,
-                commodity_arc_flow: cf.as_ref().map(|c| {
-                    c.iter()
-                        .map(|v| v.iter().map(|&f| f / mu).collect())
-                        .collect()
-                }),
-            });
-        }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
-            break;
-        }
-        // plateau stop: the primal is certified-feasible regardless; when
-        // it stops improving the remaining gap is dual-side looseness
-        if primal > last_primal_check * 1.0005 {
-            last_primal_check = primal;
-            stagnant_phases = 0;
-        } else {
-            stagnant_phases += 1;
-            if stagnant_phases >= opts.stall_phases {
-                break;
-            }
-        }
+        Ok(())
     }
 
-    let mut sol = best.expect("at least one phase ran");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
-    if obs::enabled() {
-        obs::Event::new("fptas_solve")
-            .field("mode", "strict")
-            .field("groups", groups.len())
-            .field("commodities", commodities.len())
-            .field("phases", phases as u64)
-            .field("settles", sol.settles)
-            .field("sssp_runs", sssp_runs)
-            .field("lambda", sol.throughput)
-            .field("upper_bound", sol.upper_bound)
-            .nd("wall_us", obs::us_since(t_solve))
-            .emit();
-    }
-    Ok(sol)
-}
-
-/// The incremental fast path. Each source group keeps a persistent
-/// **full** shortest-path tree and routes against it through a
-/// three-tier reuse ladder, cheapest first:
-///
-/// 1. **Exact reuse.** Lengths only grow, so a routed path none of
-///    whose arcs changed since the tree was computed is *still exactly
-///    shortest* — every alternative only got longer. A per-arc update
-///    stamp (`updated_at`) makes this an O(path) check.
-/// 2. **Fleischer drift tolerance.** A touched path may still be
-///    routed while its current length stays within a `(1+ε·δ)` factor
-///    of the tree-time distance (a valid lower bound on the current
-///    shortest distance). The certified primal/dual bounds hold for
-///    any routing, so this trades a little path quality for skipped
-///    recomputes.
-/// 3. **Incremental repair.** Beyond the gate,
-///    [`CsrNet::dijkstra_repair`] re-settles just the subtrees hanging
-///    off the arcs that actually grew (`log[cursor..]`) instead of
-///    recomputing from scratch.
-///
-/// Ladder misses rebuild lazily (speculative per-phase refreshes
-/// measurably double-pay: a tree rebuilt at phase start is often
-/// drifted again before its routing turn). Every [`EXACT_PASS_EVERY`]
-/// phases a **rayon-parallel** exact pass (disjoint workspaces)
-/// rebuilds all trees against one length snapshot, which makes that
-/// phase's dual bound exact and lets the increase log compact; the
-/// in-between phases harvest the valid mixed-age bound for free. The
-/// step size ε anneals from [`COARSE_EPS`] down to the configured
-/// value as the certified gap closes — coarse steps cross the early
-/// primal ground in far fewer phases, fine steps finish the endgame.
-fn solve_fast(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    opts: &FlowOptions,
-    warm: Option<&WarmState>,
-) -> Result<(SolvedFlow, WarmState), FlowError> {
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
-    let mut groups = group_by_source(commodities, net.node_count());
-    let inv_cap = net.inv_capacities();
-
-    // Cross-solve warm start: inherit a previous solve's terminal
-    // lengths (re-anchored to the cold gauge, per-arc healed) instead
-    // of the flat `1/c(a)` opener. An unusable state degrades to a
-    // cold start, bit-identical to `warm: None`.
-    let warm_init = warm.and_then(|w| warm_lengths(net, w));
-    let warm_started = warm_init.is_some();
-    let mut length: Vec<f64> = warm_init.unwrap_or_else(|| inv_cap.to_vec());
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    let mut routed = vec![0.0f64; commodities.len()];
-    // optional per-commodity arc-flow record, same units as arc_flow
-    let mut cf: Option<Vec<Vec<f64>>> = opts
-        .record_commodity_flows
-        .then(|| vec![vec![0.0f64; num_arcs]; commodities.len()]);
-
-    // D(l) maintained incrementally at the length-update sites below;
-    // recomputed in full only at init and after a uniform rescale, and
-    // cross-checked against the full sum in debug builds.
-    let mut d_l = weighted_length_sum(net, &length);
-
-    // Global monotone increase log. `clock = base + log.len()` is an
-    // absolute event counter; a group whose tree was computed at
-    // absolute cursor `c` repairs with `log[c - base..]`. `updated_at`
-    // holds each arc's last absolute update index (the exact-reuse
-    // stamp). The log prefix is compacted whenever every cursor reaches
-    // the clock (each dual refresh), keeping memory proportional to the
-    // inter-refresh update volume.
-    let mut log: Vec<u32> = Vec::new();
-    let mut base = 0usize;
-    let mut updated_at = vec![usize::MAX; num_arcs];
-
-    let mut best_dual = f64::INFINITY;
-    // seeds every group's full tree and checks reachability up front
-    if let Some(bound) = dual_bound(net, &mut groups, &length, d_l, true)? {
-        best_dual = best_dual.min(bound);
-    }
-    // full trees built: the seed pass, exact passes and post-rescale
-    // rebuilds (incremental repairs are counted apart)
-    let mut sssp_runs = groups.len() as u64;
-    let dual_every = EXACT_PASS_EVERY;
-    let mut last_primal_check = 0.0f64;
-    let mut stagnant_phases = 0usize;
-
-    let mut best: Option<SolvedFlow> = None;
-    let mut phases = 0usize;
-    let mut tree_load = vec![0.0f64; num_arcs];
-    let mut touched: Vec<usize> = Vec::new();
-    // Annealed step size: open with a coarse ε (few, productive phases
-    // while the primal is far from optimal), halve it whenever the
-    // primal stalls, and finish at the configured ε which governs the
-    // endgame accuracy. Both certificates remain valid at every step —
-    // the primal is feasible by construction and `D(l)/α(l)` bounds λ*
-    // for *any* positive lengths — so annealing changes the trajectory,
-    // never the guarantees.
-    //
-    // A warm-started solve skips the ramp entirely: the inherited
-    // lengths already encode the congestion landscape the coarse
-    // phases exist to discover, and re-coarsening would churn them.
-    let mut eps_cur = if warm_started {
-        eps
-    } else {
-        eps.max(COARSE_EPS)
-    };
-    // Patience before halving ε (or, at the final ε, before the
-    // `stall_phases` plateau stop takes over).
-    let anneal_patience = 10usize.min(opts.stall_phases);
-
-    // Tier-ladder telemetry: augmentations accepted on an exact tree
-    // (tier 1 / post-repair), accepted inside the drift gate (tier 2),
-    // incremental repairs (tier 3), and post-rescale full rebuilds.
-    // Per-phase counts with running solve totals; deterministic (pure
-    // functions of the trajectory) and cheap (a few scalar adds per
-    // augmentation), so they are maintained unconditionally — only
-    // event emission is gated on `obs::enabled()`.
-    let (mut ph_exact, mut ph_drift, mut ph_repairs, mut ph_rebuilds) = (0u64, 0u64, 0u64, 0u64);
-    let (mut tot_exact, mut tot_drift, mut tot_repairs, mut tot_rebuilds) =
-        (0u64, 0u64, 0u64, 0u64);
-    let t_solve = obs::clock();
-
-    while phases < opts.max_phases {
-        phases += 1;
-        let t_phase = obs::clock();
-        // Tier-2 gate: tolerate a touched path while its current length
-        // stays within (1 + ε/2) of the tree-time distance. A
-        // tighter-than-(1+ε) gate keeps routing reactive to other
-        // groups' congestion (the multiplicative-weights trajectory
-        // degrades sharply when groups keep loading paths that
-        // competitors already saturated).
-        let drift = 1.0 + eps_cur * DRIFT_FRACTION;
-
-        // ---- periodic exact pass (the parallel refresh) ----
-        // Trees are rebuilt *lazily* inside the routing ladder (a
-        // speculative per-phase refresh measurably double-pays: a tree
-        // rebuilt at phase start is often drifted again by the earlier
-        // groups of the same phase before its turn comes). Every
-        // `dual_every`-th phase, though, all trees are rebuilt in one
-        // rayon-parallel pass against a consistent length snapshot so
-        // the dual bound below is the exact `D(l)/α(l)`, every repair
-        // cursor realigns, and the increase log can be compacted.
-        let exact_pass = phases.is_multiple_of(dual_every) || phases == opts.max_phases;
-        if exact_pass {
-            let clock = base + log.len();
-            let rebuild = |g: &mut GroupState| {
-                net.dijkstra(g.src, &length, &mut g.ws);
-                g.cursor = clock;
-                g.needs_full = false;
-            };
-            if groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
-                groups.par_iter_mut().for_each(rebuild);
-            } else {
-                groups.iter_mut().for_each(rebuild);
+    /// Fresh policy: the periodic exact dual at post-rescale lengths.
+    /// Reuse policy: a rescale is not an arcwise *increase*, so repair
+    /// no longer applies — recompute `D(l)` in full and flag every tree
+    /// for a full rebuild.
+    fn end_phase(&mut self, d: &mut Driver) -> Result<(), FlowError> {
+        if self.strict {
+            if d.due(STRICT_DUAL_EVERY) {
+                let d_l = weighted_length_sum(self.net, &d.length);
+                self.rebuild_all(&d.length);
+                d.offer_dual(d_l / self.alpha()?);
             }
-            sssp_runs += groups.len() as u64;
-        }
-
-        // ---- dual bound, every phase and essentially free ----
-        // Each group's stored distances were exact under the (older)
-        // lengths its tree was computed at; lengths only grow, so they
-        // are lower bounds on the current distances, Σ d_j·dist_j is a
-        // lower bound on α(l), and `d_l / Σ` is a *valid* (if slightly
-        // weak) upper bound on λ*. On exact-pass phases every tree was
-        // just rebuilt, making the bound the exact `D(l)/α(l)`.
-        //
-        // The one exception is the aftermath of a uniform rescale:
-        // un-rebuilt trees then hold distances in *pre-rescale* units —
-        // far larger than any current distance, which would fabricate a
-        // too-small (invalid!) bound. Skip the harvest until the next
-        // rebuild has cleared every `needs_full` flag.
-        if groups.iter().all(|g| !g.needs_full) {
-            #[cfg(debug_assertions)]
-            {
-                let full = weighted_length_sum(net, &length);
-                debug_assert!(
-                    (d_l - full).abs() <= 1e-6 * full.max(f64::MIN_POSITIVE),
-                    "incremental D(l) drifted: {d_l} vs {full}"
-                );
-            }
-            let mut alpha = 0.0f64;
-            for g in groups.iter() {
-                for &(_, dst, demand) in &g.sinks {
-                    alpha += demand * g.ws.distance(dst);
-                }
-            }
-            let bound = d_l / alpha;
-            if bound.is_finite() && bound > 0.0 {
-                best_dual = best_dual.min(bound);
-            }
-        }
-        if exact_pass {
-            // every cursor is at the clock: compact the increase log
-            base += log.len();
-            log.clear();
-        }
-
-        // ---- sequential routing in fixed group order ----
-        for g in &mut groups {
-            for (k, &(_, _, d)) in g.sinks.iter().enumerate() {
-                g.remaining[k] = d;
-            }
-            let mut inner = 0usize;
-            while g.remaining.iter().any(|&r| r > 1e-12) {
-                inner += 1;
-                if inner > 64 {
-                    // carry skewed-instance leftovers to the next phase
-                    // (correctness unaffected; see strict path)
-                    break;
-                }
-                if g.needs_full {
-                    // post-rescale: stored distances are in pre-rescale
-                    // units, so the drift gate cannot be trusted — rebuild
-                    net.dijkstra(g.src, &length, &mut g.ws);
-                    g.cursor = base + log.len();
-                    g.needs_full = false;
-                    ph_rebuilds += 1;
-                    sssp_runs += 1;
-                }
-                // walk the tree through the reuse ladder; repair at most
-                // once per augmentation (a repaired tree is exact)
-                let mut exact = base + log.len() == g.cursor;
-                loop {
-                    touched.clear();
-                    let mut stale = false;
-                    for (k, &(_, dst, _)) in g.sinks.iter().enumerate() {
-                        let r = g.remaining[k];
-                        if r <= 1e-12 {
-                            continue;
-                        }
-                        if !g.ws.distance(dst).is_finite() {
-                            return Err(FlowError::Unreachable { src: g.src, dst });
-                        }
-                        let mut plen = 0.0f64;
-                        let mut hit = false;
-                        g.ws.walk_path(net, dst, |a| {
-                            if tree_load[a] == 0.0 {
-                                touched.push(a);
-                            }
-                            tree_load[a] += r;
-                            plen += length[a];
-                            hit |= updated_at[a] != usize::MAX && updated_at[a] >= g.cursor;
-                        });
-                        // tier 1: untouched path is still exactly
-                        // shortest; tier 2: touched but within the gate
-                        if !exact && hit && plen > drift * g.ws.distance(dst) {
-                            stale = true;
-                            break;
-                        }
-                    }
-                    if !stale {
-                        break;
-                    }
-                    // tier 3: incremental repair of the drifted tree
-                    // (every stored tree is full — seeded, exact-pass,
-                    // and repaired trees all settle the component, as
-                    // repair's preconditions require)
-                    for &a in &touched {
-                        tree_load[a] = 0.0;
-                    }
-                    net.dijkstra_repair(g.src, &length, &log[g.cursor - base..], &mut g.ws);
-                    g.cursor = base + log.len();
-                    exact = true;
-                    ph_repairs += 1;
-                }
-                if exact {
-                    ph_exact += 1;
-                } else {
-                    ph_drift += 1;
-                }
-                let mut tau = 1.0f64;
-                for &a in &touched {
-                    tau = tau.min(net.capacity(a) / tree_load[a]);
-                }
-                for &a in &touched {
-                    let sent = tau * tree_load[a];
-                    arc_flow[a] += sent;
-                    let old = length[a];
-                    let new = old * (1.0 + eps_cur * (sent * inv_cap[a]));
-                    length[a] = new;
-                    // incremental D(l), the repair log, and the
-                    // exact-reuse stamp — all maintained at the one
-                    // place lengths ever change
-                    d_l += net.capacity(a) * (new - old);
-                    updated_at[a] = base + log.len();
-                    log.push(a as u32);
-                    tree_load[a] = 0.0;
-                }
-                // mirror the same tree walk into the per-commodity
-                // record before `remaining` is consumed; the workspace
-                // still holds the tree the load was charged along
-                if let Some(cf) = cf.as_mut() {
-                    for (k, &(j, dst, _)) in g.sinks.iter().enumerate() {
-                        let r = g.remaining[k];
-                        if r <= 1e-12 {
-                            continue;
-                        }
-                        let sent = tau * r;
-                        g.ws.walk_path(net, dst, |a| cf[j][a] += sent);
-                    }
-                }
-                for (k, &(j, _, _)) in g.sinks.iter().enumerate() {
-                    let sent = tau * g.remaining[k];
-                    routed[j] += sent;
-                    g.remaining[k] -= sent;
-                }
-                if tau >= 1.0 {
-                    break;
-                }
-            }
-        }
-
-        // rescale lengths when they get large (scale-invariant). Scaling
-        // is not an arcwise *increase*, so incremental repair no longer
-        // applies: recompute D(l) in full and flag every tree for a full
-        // rebuild in the next refresh pass.
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-            d_l = weighted_length_sum(net, &length);
-            for g in groups.iter_mut() {
+        } else if d.rescaled {
+            self.d_l = weighted_length_sum(self.net, &d.length);
+            for g in &mut self.groups {
                 g.needs_full = true;
             }
         }
+        Ok(())
+    }
 
-        let mu = arc_flow
-            .iter()
-            .zip(inv_cap)
-            .map(|(&f, &ic)| f * ic)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| routed[j] / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
-
+    fn phase_done(&mut self, d: &Driver, primal: f64, t_phase: Option<Instant>) {
         // emission sits in the sequential phase loop, so the event
         // sequence is deterministic whenever solves themselves are run
         // sequentially (see dctopo-obs crate docs)
         if obs::enabled() {
-            obs::Event::new("fptas_phase")
-                .field("mode", "fast")
-                .field("phase", phases as u64)
-                .field("eps", eps_cur)
-                .field("exact_pass", exact_pass)
-                .field("primal", primal)
-                .field("dual", best_dual)
-                .field("d_l", d_l)
-                .field("aug_exact", ph_exact)
-                .field("aug_drift", ph_drift)
-                .field("repairs", ph_repairs)
-                .field("rescale_rebuilds", ph_rebuilds)
-                .field(
-                    "settles",
-                    groups.iter().map(|g| g.ws.settles()).sum::<u64>(),
-                )
+            let mode = if self.strict { "strict" } else { "fast" };
+            let mut ev = obs::Event::new("fptas_phase")
+                .field("mode", mode)
+                .field("phase", d.phase as u64)
+                .field("eps", d.eps);
+            if !self.strict {
+                ev = ev.field("exact_pass", d.due(EXACT_PASS_EVERY));
+            }
+            ev = ev.field("primal", primal).field("dual", d.best_dual);
+            if !self.strict {
+                ev = self.tiers.fields(ev.field("d_l", self.d_l));
+            }
+            ev.field("settles", self.settles())
                 .nd("wall_us", obs::us_since(t_phase))
                 .emit();
         }
-        tot_exact += ph_exact;
-        tot_drift += ph_drift;
-        tot_repairs += ph_repairs;
-        tot_rebuilds += ph_rebuilds;
-        (ph_exact, ph_drift, ph_repairs, ph_rebuilds) = (0, 0, 0, 0);
-
-        let better = best.as_ref().is_none_or(|b| primal > b.throughput);
-        if better {
-            best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                commodity_rate: routed.iter().map(|&r| r / mu).collect(),
-                phases,
-                settles: 0,
-                commodity_arc_flow: cf.as_ref().map(|c| {
-                    c.iter()
-                        .map(|v| v.iter().map(|&f| f / mu).collect())
-                        .collect()
-                }),
-            });
-        }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
-            break;
-        }
-        // a coarse step size has done its job once the certified gap
-        // shrinks to its own order (it cannot certify much further):
-        // halve ε and keep going
-        if eps_cur > eps && primal >= (1.0 - eps_cur) * best_dual {
-            let next = (eps_cur * 0.5).max(eps);
-            if obs::enabled() {
-                obs::Event::new("fptas_anneal")
-                    .field("phase", phases as u64)
-                    .field("from", eps_cur)
-                    .field("to", next)
-                    .field("reason", "gap")
-                    .emit();
-            }
-            eps_cur = next;
-            stagnant_phases = 0;
-        }
-        if primal > last_primal_check * 1.0005 {
-            last_primal_check = primal;
-            stagnant_phases = 0;
-        } else {
-            stagnant_phases += 1;
-            // a stall at a coarse ε also means that step is exhausted
-            if eps_cur > eps && stagnant_phases >= anneal_patience {
-                let next = (eps_cur * 0.5).max(eps);
-                if obs::enabled() {
-                    obs::Event::new("fptas_anneal")
-                        .field("phase", phases as u64)
-                        .field("from", eps_cur)
-                        .field("to", next)
-                        .field("reason", "stall")
-                        .emit();
-                }
-                eps_cur = next;
-                stagnant_phases = 0;
-            } else if stagnant_phases >= opts.stall_phases {
-                break;
-            }
-        }
+        self.totals.absorb(std::mem::take(&mut self.tiers));
     }
-
-    let mut sol = best.expect("at least one phase ran");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    sol.settles = groups.iter().map(|g| g.ws.settles()).sum();
-    if obs::enabled() {
-        obs::Event::new("fptas_solve")
-            .field("mode", "fast")
-            .field("warm", warm_started)
-            .field("groups", groups.len())
-            .field("commodities", commodities.len())
-            .field("phases", phases as u64)
-            .field("settles", sol.settles)
-            .field("sssp_runs", sssp_runs)
-            .field("aug_exact", tot_exact)
-            .field("aug_drift", tot_drift)
-            .field("repairs", tot_repairs)
-            .field("rescale_rebuilds", tot_rebuilds)
-            .field("lambda", sol.throughput)
-            .field("upper_bound", sol.upper_bound)
-            .nd("wall_us", obs::us_since(t_solve))
-            .emit();
-    }
-    Ok((sol, WarmState { lengths: length }))
 }
 
-/// The certified dual bound `D(l)/α(l)` at the given lengths, or `None`
-/// when the ratio is degenerate (e.g. α = 0 before any length growth).
-///
-/// `d_l` is `D(l) = Σ_a c(a)·l(a)` supplied by the caller (the strict
-/// path computes it in full per call; the fast path maintains it
-/// incrementally). `α(l)` needs one shortest-path tree per source group
-/// against fixed lengths — a read-only pass that runs **in parallel on
-/// rayon** into the disjoint per-group workspaces; with `full_trees`
-/// the pass settles whole components (the fast path's tree refresh),
-/// otherwise it early-terminates at each group's targets. The `α`
-/// reduction itself is sequential in group order, so the bound is
-/// bit-identical at every thread count.
-fn dual_bound(
+/// Charge every sink's remaining demand to `g`'s tree, summed per arc
+/// into `tree_load` (arcs listed in `touched`). Under a drift `gate` (a
+/// reuse tree that is not exact) returns `true` — stale — as soon as a
+/// touched path is longer than `gate` times its tree distance: tier 1
+/// (no arc of the path grew since the tree) and tier 2 (within the
+/// gate) both accept.
+fn charge(
     net: &CsrNet,
-    groups: &mut [GroupState],
+    g: &GroupState,
     length: &[f64],
-    d_l: f64,
-    full_trees: bool,
-) -> Result<Option<f64>, FlowError> {
-    let settle = |g: &mut GroupState| {
-        if full_trees {
-            net.dijkstra(g.src, length, &mut g.ws);
-        } else {
-            net.dijkstra_targets(g.src, length, &g.targets, &mut g.ws);
+    updated_at: &[usize],
+    gate: Option<f64>,
+    tree_load: &mut [f64],
+    touched: &mut Vec<usize>,
+) -> Result<bool, FlowError> {
+    touched.clear();
+    for (k, &(_, dst, _)) in g.sinks.iter().enumerate() {
+        let r = g.remaining[k];
+        if r <= 1e-12 {
+            continue;
         }
-    };
-    // Fan out only when the pass is big enough to amortise the pool
-    // dispatch (and to avoid contending for pool workers when many
-    // Runner threads each solve their own instance). Results are
-    // identical either way — the sequential path is exactly the
-    // one-thread schedule.
-    if groups.len() * net.arc_count() >= PARALLEL_DUAL_MIN_WORK {
-        groups.par_iter_mut().for_each(settle);
-    } else {
-        groups.iter_mut().for_each(settle);
-    }
-    let mut alpha = 0.0f64;
-    for g in groups.iter() {
-        for &(_, dst, demand) in &g.sinks {
-            let d = g.ws.distance(dst);
-            if !d.is_finite() {
-                return Err(FlowError::Unreachable { src: g.src, dst });
+        if !g.ws.distance(dst).is_finite() {
+            return Err(FlowError::Unreachable { src: g.src, dst });
+        }
+        let mut plen = 0.0f64;
+        let mut hit = false;
+        g.ws.walk_path(net, dst, |a| {
+            if tree_load[a] == 0.0 {
+                touched.push(a);
             }
-            alpha += demand * d;
+            tree_load[a] += r;
+            if gate.is_some() {
+                plen += length[a];
+                hit |= updated_at[a] != usize::MAX && updated_at[a] >= g.cursor;
+            }
+        });
+        if gate.is_some_and(|drift| hit && plen > drift * g.ws.distance(dst)) {
+            return Ok(true);
         }
     }
-    let bound = d_l / alpha;
-    Ok((bound.is_finite() && bound > 0.0).then_some(bound))
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -1181,6 +816,24 @@ mod tests {
         let strict = opts().with_strict_reference(true);
         let r = max_concurrent_flow(&g, &[Commodity::unit(0, 3)], &strict);
         assert!(matches!(r, Err(FlowError::Unreachable { src: 0, dst: 3 })));
+    }
+
+    /// An edgeless net reports the first commodity as unreachable, on
+    /// both policies and on the grouped solve.
+    #[test]
+    fn edgeless_net_is_unreachable() {
+        let net = dctopo_graph::CsrNet::from_graph(&Graph::new(3));
+        let cs = [Commodity::unit(1, 2), Commodity::unit(0, 2)];
+        for strict in [false, true] {
+            let r = max_concurrent_flow_csr(&net, &cs, &opts().with_strict_reference(strict));
+            assert!(matches!(r, Err(FlowError::Unreachable { src: 1, dst: 2 })));
+        }
+        let groups = [crate::DemandGroup {
+            src: 1,
+            sinks: crate::SinkSpec::List(vec![(2, 1.0), (0, 1.0)]),
+        }];
+        let r = crate::solve_grouped(&net, &groups, &opts());
+        assert!(matches!(r, Err(FlowError::Unreachable { src: 1, dst: 2 })));
     }
 
     /// Star network: k leaves all sending to the hub through unit edges.

@@ -60,24 +60,28 @@
 //! and usually tightens the interval by an order of magnitude for
 //! `O(groups)` extra SSSPs total.
 //!
+//! This module is the proportional routing step only; the phase loop
+//! (rescale, congestion scaling, snapshot, stop rules) is the driver in
+//! `driver.rs` every FPTAS flavour shares. A grouped solve opens at the
+//! configured ε and starts cold (no anneal, no warm start).
+//!
 //! ## Determinism
 //!
-//! Groups route sequentially in input order; the leaf-up Kahn pass
-//! seeds its ready stack in node-index order, so its visit sequence —
-//! and therefore every float accumulation order — is a pure function
-//! of the parent forest; sink iteration is input order
-//! (`List`) or index order (`Weighted`); every tree build is a
-//! sequential heap Dijkstra. The whole solve — `settles` included — is
-//! therefore **bit-identical across thread counts and reruns**, same as
-//! the pairwise paths.
+//! Groups route sequentially in input order; the Kahn pass seeds its
+//! ready stack in node-index order, so every float accumulation order
+//! is a pure function of the parent forest; sinks iterate in input
+//! (`List`) or index (`Weighted`) order; every tree is a sequential
+//! heap Dijkstra. The whole solve — `settles` included — is
+//! **bit-identical across thread counts and reruns**.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use dctopo_graph::{CsrNet, DijkstraWorkspace, NodeId};
 use dctopo_obs as obs;
 
-use crate::fptas::RESCALE_ABOVE;
-use crate::{FlowError, FlowOptions};
+use crate::driver::{weighted_length_sum, Driver, PerCap, Step};
+use crate::{validate_commodity, validate_options, Commodity, FlowError, FlowOptions};
 
 /// The sinks of one [`DemandGroup`].
 #[derive(Debug, Clone)]
@@ -196,68 +200,38 @@ fn validate_grouped(
     if groups.is_empty() {
         return Err(FlowError::NoCommodities);
     }
-    if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
-        return Err(FlowError::BadOptions(format!(
-            "epsilon must be in (0, 1), got {}",
-            opts.epsilon
-        )));
-    }
-    if !(opts.target_gap > 0.0 && opts.target_gap < 1.0) {
-        return Err(FlowError::BadOptions(format!(
-            "target_gap must be in (0, 1), got {}",
-            opts.target_gap
-        )));
-    }
-    if opts.max_phases == 0 {
-        return Err(FlowError::BadOptions("max_phases must be > 0".into()));
-    }
+    validate_options(opts)?;
     for (gi, g) in groups.iter().enumerate() {
-        if g.src >= node_count {
-            return Err(FlowError::BadOptions(format!(
-                "group {gi}: src {} out of range (n = {node_count})",
-                g.src
-            )));
-        }
-        match &g.sinks {
-            SinkSpec::List(pairs) => {
-                for &(dst, d) in pairs {
-                    if dst >= node_count {
-                        return Err(FlowError::BadOptions(format!(
-                            "group {gi}: dst {dst} out of range (n = {node_count})"
-                        )));
-                    }
-                    if dst == g.src {
-                        return Err(FlowError::SelfCommodity { index: gi });
-                    }
-                    if !(d.is_finite() && d > 0.0) {
-                        return Err(FlowError::BadDemand {
-                            index: gi,
-                            demand: d,
-                        });
-                    }
-                }
+        if let SinkSpec::Weighted { weights, .. } = &g.sinks {
+            if weights.len() != node_count {
+                return Err(FlowError::BadOptions(format!(
+                    "group {gi}: weight vector has {} entries, net has {node_count} nodes",
+                    weights.len()
+                )));
             }
-            SinkSpec::Weighted { weights, scale } => {
-                if weights.len() != node_count {
-                    return Err(FlowError::BadOptions(format!(
-                        "group {gi}: weight vector has {} entries, net has {node_count} nodes",
-                        weights.len()
-                    )));
-                }
-                if !(scale.is_finite() && *scale > 0.0) {
-                    return Err(FlowError::BadDemand {
-                        index: gi,
-                        demand: *scale,
-                    });
-                }
-                if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-                    return Err(FlowError::BadOptions(format!(
-                        "group {gi}: weights must be finite and non-negative"
-                    )));
-                }
+            if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
+                return Err(FlowError::BadOptions(format!(
+                    "group {gi}: weights must be finite and non-negative"
+                )));
             }
         }
-        if g.sink_count() == 0 {
+        // every sink, listed or weighted, as a commodity of the group (a
+        // bad scale shows as a non-positive or non-finite demand)
+        let mut sinks = 0usize;
+        let mut checked = Ok(());
+        g.for_each_sink(|dst, demand| {
+            sinks += 1;
+            if checked.is_ok() {
+                let c = Commodity {
+                    src: g.src,
+                    dst,
+                    demand,
+                };
+                checked = validate_commodity(node_count, gi, c);
+            }
+        });
+        checked?;
+        if sinks == 0 {
             return Err(FlowError::BadDemand {
                 index: gi,
                 demand: 0.0,
@@ -285,56 +259,131 @@ pub fn solve_grouped(
     opts: &FlowOptions,
 ) -> Result<GroupedFlow, FlowError> {
     validate_grouped(net.node_count(), groups, opts)?;
-    if net.arc_count() == 0 {
-        let mut first = None;
-        groups[0].for_each_sink(|dst, _| first = first.or(Some(dst)));
-        return Err(FlowError::Unreachable {
-            src: groups[0].src,
-            dst: first.expect("validated: at least one sink"),
-        });
-    }
-
     let n = net.node_count();
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
+    let mut step = KahnStep {
+        net,
+        groups,
+        ws: DijkstraWorkspace::default(),
+        node_demand: vec![0.0; n],
+        child_count: vec![0; n],
+        ready: Vec::with_capacity(n),
+        tree_load: vec![0.0; net.arc_count()],
+        touched: Vec::new(),
+        sssp_runs: 0,
+        steps: 0,
+        tree_us: 0,
+        kahn_us: 0,
+        alpha: 0.0,
+        d_l: 0.0,
+    };
+    // the driver's entry g is group g's routed fraction (unit demand),
+    // so its rate factor is routed[g]/μ
+    let length = net.inv_capacities().to_vec();
+    let driver = Driver::new(
+        net,
+        opts,
+        length,
+        vec![1.0; groups.len()],
+        PerCap::Divide,
+        false,
+    );
+    let (sol, _) = driver.run(&mut step)?;
+    let settles = step.ws.settles();
+    if obs::enabled() {
+        obs::Event::new("grouped_solve")
+            .field("groups", groups.len())
+            .field("phases", sol.phases as u64)
+            .field("settles", settles)
+            .field("sssp_runs", step.sssp_runs)
+            .field("lambda", sol.throughput)
+            .field("upper_bound", sol.upper_bound)
+            .emit();
+    }
+    Ok(GroupedFlow {
+        throughput: sol.throughput,
+        upper_bound: sol.upper_bound,
+        arc_flow: sol.arc_flow,
+        group_rate_factor: sol.commodity_rate,
+        phases: sol.phases,
+        settles,
+    })
+}
 
-    // lengths l(a) = 1/c(a) initially, as in the pairwise solver
-    let mut length: Vec<f64> = net.inv_capacities().to_vec();
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    // cumulative fraction of each group's demand that has been routed
-    // (unscaled): sink dst of group g has received routed_frac[g]·d(dst)
-    let mut routed_frac = vec![0.0f64; groups.len()];
-
-    // ONE shared workspace — the memory story. Groups route
-    // sequentially, so warm per-group trees are traded for O(n) state.
-    let mut ws = DijkstraWorkspace::default();
+/// The proportional routing step: one tree per step, loads from a
+/// leaf-up Kahn pass, every sink of the group advancing by the same
+/// fraction.
+struct KahnStep<'a> {
+    net: &'a CsrNet,
+    groups: &'a [DemandGroup],
+    /// ONE shared workspace — the memory story. Groups route
+    /// sequentially, so warm per-group trees are traded for O(n) state.
+    ws: DijkstraWorkspace,
     // leaf-up sweep scratch
-    let mut node_demand = vec![0.0f64; n];
-    let mut child_count = vec![0u32; n];
-    let mut ready: Vec<u32> = Vec::with_capacity(n);
-    let mut tree_load = vec![0.0f64; num_arcs];
-    let mut touched: Vec<usize> = Vec::new();
+    node_demand: Vec<f64>,
+    child_count: Vec<u32>,
+    ready: Vec<u32>,
+    tree_load: Vec<f64>,
+    touched: Vec<usize>,
+    /// Shortest-path trees built: routing steps plus harvest runs.
+    sssp_runs: u64,
+    // per-phase telemetry: steps (= trees built), tree-build and Kahn
+    // wall time (nd; zero when tracing is off), harvested α, end D(l)
+    steps: u64,
+    tree_us: u64,
+    kahn_us: u64,
+    alpha: f64,
+    d_l: f64,
+}
 
-    let mut best_dual = f64::INFINITY;
-    let mut best: Option<GroupedFlow> = None;
-    let mut last_primal_check = 0.0f64;
-    let mut stagnant_phases = 0usize;
-    let mut phases = 0usize;
-    // shortest-path trees built: routing steps plus harvest runs
-    let mut sssp_runs = 0u64;
+impl KahnStep<'_> {
+    /// `tree_load[a]` = `node_demand` below arc `a` (arcs listed in
+    /// `touched`) by the leaf-up Kahn pass of the module docs.
+    /// Deliberately NOT a decreasing-distance sort: float absorption can
+    /// make a child's distance *equal* its parent's, and a dist-ordered
+    /// sweep may then strand the child's load — under-recording arc flow
+    /// the routed fraction still takes credit for. The parent pointers
+    /// are always a well-founded forest.
+    fn subtree_loads(&mut self) {
+        let (net, ws) = (self.net, &self.ws);
+        self.child_count.fill(0);
+        for v in 0..net.node_count() {
+            if let Some(a) = ws.parent(v) {
+                self.child_count[net.arc_tail(a)] += 1;
+            }
+        }
+        self.ready.clear();
+        self.ready.extend(
+            (0..net.node_count() as u32).filter(|&v| {
+                self.child_count[v as usize] == 0 && ws.distance(v as usize).is_finite()
+            }),
+        );
+        self.touched.clear();
+        while let Some(vu) = self.ready.pop() {
+            let v = vu as usize;
+            let load = self.node_demand[v];
+            self.node_demand[v] = 0.0;
+            // the root absorbs everything pushed up to it
+            let Some(a) = ws.parent(v) else { continue };
+            if load > 0.0 {
+                if self.tree_load[a] == 0.0 {
+                    self.touched.push(a);
+                }
+                self.tree_load[a] += load;
+                self.node_demand[net.arc_tail(a)] += load;
+            }
+            let t = net.arc_tail(a);
+            self.child_count[t] -= 1;
+            if self.child_count[t] == 0 {
+                self.ready.push(t as u32);
+            }
+        }
+    }
+}
 
-    while phases < opts.max_phases {
-        phases += 1;
-        let t_phase = obs::clock();
-        // per-phase telemetry: routing steps (= trees built) plus
-        // tree-build and Kahn-pass wall time (nd; zero when disabled —
-        // `obs::clock()` never touches the clock then)
-        let mut ph_steps = 0u64;
-        let mut tree_us = 0u64;
-        let mut kahn_us = 0u64;
-        // α(l) harvested from each group's first tree of the phase
-        let mut alpha_phase = 0.0f64;
-
+impl Step for KahnStep<'_> {
+    fn route(&mut self, d: &mut Driver) -> Result<(), FlowError> {
+        let (net, groups) = (self.net, self.groups);
+        (self.steps, self.tree_us, self.kahn_us, self.alpha) = (0, 0, 0, 0.0);
         for (gi, g) in groups.iter().enumerate() {
             let mut frac_remaining = 1.0f64;
             let mut inner = 0usize;
@@ -342,227 +391,117 @@ pub fn solve_grouped(
                 inner += 1;
                 if inner > 64 {
                     // skewed instances can shrink τ repeatedly; carry
-                    // the leftover — `routed_frac` only counts what was
-                    // actually sent, so correctness is unaffected
+                    // the leftover — the routed fraction only counts
+                    // what was actually sent, so correctness is
+                    // unaffected
                     break;
                 }
-                ph_steps += 1;
+                self.steps += 1;
                 let t_tree = obs::clock();
-                net.dijkstra(g.src, &length, &mut ws);
-                tree_us += obs::us_since(t_tree);
+                net.dijkstra(g.src, &d.length, &mut self.ws);
+                self.tree_us += obs::us_since(t_tree);
 
                 // seed the per-node sink demand for this step and check
                 // reachability; harvest α from the phase's first tree
                 let mut unreachable: Option<NodeId> = None;
                 let mut alpha_g = 0.0f64;
-                g.for_each_sink(|dst, d| {
-                    let dist = ws.distance(dst);
+                g.for_each_sink(|dst, dem| {
+                    let dist = self.ws.distance(dst);
                     if !dist.is_finite() {
                         unreachable = unreachable.or(Some(dst));
                         return;
                     }
-                    node_demand[dst] += frac_remaining * d;
+                    self.node_demand[dst] += frac_remaining * dem;
                     if inner == 1 {
-                        alpha_g += d * dist;
+                        alpha_g += dem * dist;
                     }
                 });
                 if let Some(dst) = unreachable {
                     return Err(FlowError::Unreachable { src: g.src, dst });
                 }
                 if inner == 1 {
-                    alpha_phase += alpha_g;
+                    self.alpha += alpha_g;
                 }
-
-                // Leaf-up subtree loads via a Kahn pass over the parent
-                // forest: each node pushes its accumulated demand onto
-                // its parent arc once all its tree children have pushed
-                // onto it, so L(a) = demand below a in O(n + arcs).
-                // Deliberately NOT a decreasing-distance sort: at large
-                // length magnitudes float absorption can make a child's
-                // distance *equal* its parent's, and any dist-ordered
-                // sweep may then visit the parent first and strand the
-                // child's load — silently under-recording arc flow that
-                // `routed_frac` still takes credit for. The parent
-                // pointers themselves are always a well-founded forest.
                 let t_kahn = obs::clock();
-                for c in child_count.iter_mut() {
-                    *c = 0;
-                }
-                for v in 0..n {
-                    if let Some(a) = ws.parent(v) {
-                        child_count[net.arc_tail(a)] += 1;
-                    }
-                }
-                ready.clear();
-                ready.extend((0..n as u32).filter(|&v| {
-                    child_count[v as usize] == 0 && ws.distance(v as usize).is_finite()
-                }));
-                touched.clear();
-                while let Some(vu) = ready.pop() {
-                    let v = vu as usize;
-                    let load = node_demand[v];
-                    node_demand[v] = 0.0;
-                    // the root absorbs everything pushed up to it
-                    let Some(a) = ws.parent(v) else { continue };
-                    if load > 0.0 {
-                        if tree_load[a] == 0.0 {
-                            touched.push(a);
-                        }
-                        tree_load[a] += load;
-                        node_demand[net.arc_tail(a)] += load;
-                    }
-                    let t = net.arc_tail(a);
-                    child_count[t] -= 1;
-                    if child_count[t] == 0 {
-                        ready.push(t as u32);
-                    }
-                }
-                kahn_us += obs::us_since(t_kahn);
+                self.subtree_loads();
+                self.kahn_us += obs::us_since(t_kahn);
 
                 // capacity-scaled step: never overload any arc
                 let mut tau = 1.0f64;
-                for &a in &touched {
-                    tau = tau.min(net.capacity(a) / tree_load[a]);
+                for &a in &self.touched {
+                    tau = tau.min(net.capacity(a) / self.tree_load[a]);
                 }
-                for &a in &touched {
-                    let sent = tau * tree_load[a];
-                    arc_flow[a] += sent;
-                    length[a] *= 1.0 + eps * (sent / net.capacity(a));
-                    tree_load[a] = 0.0;
+                for &a in &self.touched {
+                    d.send(a, tau * self.tree_load[a]);
+                    self.tree_load[a] = 0.0;
                 }
-                routed_frac[gi] += tau * frac_remaining;
+                d.routed[gi] += tau * frac_remaining;
                 frac_remaining -= tau * frac_remaining;
                 if tau >= 1.0 {
                     break;
                 }
             }
         }
+        // dual BEFORE the driver's rescale: α was harvested under
+        // in-phase lengths, which only grew since — D(l_end)/α_harvest
+        // ≥ D(l_end)/α(l_end) ≥ λ*, a valid certificate (module docs)
+        self.d_l = weighted_length_sum(net, &d.length);
+        self.sssp_runs += self.steps;
+        d.offer_dual(self.d_l / self.alpha);
+        Ok(())
+    }
 
-        // dual BEFORE rescale: α was harvested under in-phase lengths,
-        // which only grew since — D(l_end)/α_harvest ≥ D(l_end)/α(l_end)
-        // ≥ λ*, a valid certificate (module docs)
-        let d_l: f64 = length
-            .iter()
-            .zip(net.capacities())
-            .map(|(&l, &c)| l * c)
-            .sum();
-        sssp_runs += ph_steps;
-        let bound = d_l / alpha_phase;
-        if bound.is_finite() && bound > 0.0 {
-            best_dual = best_dual.min(bound);
-        }
-
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-        }
-
-        // certified primal: scale by worst congestion
-        let mu = arc_flow
-            .iter()
-            .zip(net.capacities())
-            .map(|(&f, &c)| f / c)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = routed_frac.iter().copied().fold(f64::INFINITY, f64::min) / mu;
-
+    fn phase_done(&mut self, d: &Driver, primal: f64, t_phase: Option<Instant>) {
         // groups route sequentially, so this sits outside any parallel
         // region and the event sequence is deterministic per solve
         if obs::enabled() {
             obs::Event::new("grouped_phase")
-                .field("phase", phases as u64)
-                .field("steps", ph_steps)
-                .field("alpha", alpha_phase)
-                .field("d_l", d_l)
+                .field("phase", d.phase as u64)
+                .field("steps", self.steps)
+                .field("alpha", self.alpha)
+                .field("d_l", self.d_l)
                 .field("primal", primal)
-                .field("dual", best_dual)
-                .field("settles", ws.settles())
-                .nd("tree_us", tree_us)
-                .nd("kahn_us", kahn_us)
+                .field("dual", d.best_dual)
+                .field("settles", self.ws.settles())
+                .nd("tree_us", self.tree_us)
+                .nd("kahn_us", self.kahn_us)
                 .nd("wall_us", obs::us_since(t_phase))
                 .emit();
         }
+    }
 
-        let better = best.as_ref().is_none_or(|b| primal > b.throughput);
-        if better {
-            best = Some(GroupedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                group_rate_factor: routed_frac.iter().map(|&r| r / mu).collect(),
-                phases,
-                settles: 0,
+    /// Final exact certificate: one SSSP per group at the terminal
+    /// lengths evaluates α(l) and D(l) at the SAME l, which bounds λ*
+    /// for any positive length function by LP duality. The in-loop
+    /// mixed-age bound loosens as lengths grow within a phase; the
+    /// terminal lengths are the most congestion-aware of the run and
+    /// this single extra harvest usually tightens the interval by an
+    /// order of magnitude for O(groups) SSSPs total.
+    fn finish(&mut self, d: &mut Driver) {
+        let t_harvest = obs::clock();
+        let mut alpha_final = 0.0f64;
+        for g in self.groups {
+            self.net.dijkstra(g.src, &d.length, &mut self.ws);
+            g.for_each_sink(|dst, dem| {
+                let dist = self.ws.distance(dst);
+                if dist.is_finite() {
+                    alpha_final += dem * dist;
+                }
             });
         }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
-            break;
+        self.sssp_runs += self.groups.len() as u64;
+        let d_final = weighted_length_sum(self.net, &d.length);
+        let final_bound = d_final / alpha_final;
+        d.offer_dual(final_bound);
+        if obs::enabled() {
+            obs::Event::new("grouped_harvest")
+                .field("alpha", alpha_final)
+                .field("d_l", d_final)
+                .field("bound", final_bound)
+                .nd("wall_us", obs::us_since(t_harvest))
+                .emit();
         }
-        if primal > last_primal_check * 1.0005 {
-            last_primal_check = primal;
-            stagnant_phases = 0;
-        } else {
-            stagnant_phases += 1;
-            if stagnant_phases >= opts.stall_phases {
-                break;
-            }
-        }
     }
-
-    // Final exact certificate: one SSSP per group at the terminal
-    // lengths evaluates α(l) and D(l) at the SAME l, which bounds λ*
-    // for any positive length function by LP duality. The in-loop
-    // mixed-age bound loosens as lengths grow within a phase; the
-    // terminal lengths are the most congestion-aware of the run and
-    // this single extra harvest usually tightens the interval by an
-    // order of magnitude for O(groups) SSSPs total.
-    let t_harvest = obs::clock();
-    let mut alpha_final = 0.0f64;
-    for g in groups {
-        net.dijkstra(g.src, &length, &mut ws);
-        g.for_each_sink(|dst, d| {
-            let dist = ws.distance(dst);
-            if dist.is_finite() {
-                alpha_final += d * dist;
-            }
-        });
-    }
-    sssp_runs += groups.len() as u64;
-    let d_final: f64 = length
-        .iter()
-        .zip(net.capacities())
-        .map(|(&l, &c)| l * c)
-        .sum();
-    let final_bound = d_final / alpha_final;
-    if final_bound.is_finite() && final_bound > 0.0 {
-        best_dual = best_dual.min(final_bound);
-    }
-    if obs::enabled() {
-        obs::Event::new("grouped_harvest")
-            .field("alpha", alpha_final)
-            .field("d_l", d_final)
-            .field("bound", final_bound)
-            .nd("wall_us", obs::us_since(t_harvest))
-            .emit();
-    }
-
-    let mut sol = best.expect("at least one phase ran");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    sol.settles = ws.settles();
-    if obs::enabled() {
-        obs::Event::new("grouped_solve")
-            .field("groups", groups.len())
-            .field("phases", phases as u64)
-            .field("settles", sol.settles)
-            .field("sssp_runs", sssp_runs)
-            .field("lambda", sol.throughput)
-            .field("upper_bound", sol.upper_bound)
-            .emit();
-    }
-    Ok(sol)
 }
 
 #[cfg(test)]
@@ -745,6 +684,21 @@ mod tests {
         assert!(matches!(
             solve_grouped(&net, &allzero, &o),
             Err(FlowError::BadDemand { index: 0, .. })
+        ));
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad_scale = [DemandGroup::weighted(0, Arc::new(vec![1.0; 4]), scale)];
+            assert!(matches!(
+                solve_grouped(&net, &bad_scale, &o),
+                Err(FlowError::BadDemand { index: 0, .. })
+            ));
+        }
+        let far = [DemandGroup {
+            src: 0,
+            sinks: SinkSpec::List(vec![(9, 1.0)]),
+        }];
+        assert!(matches!(
+            solve_grouped(&net, &far, &o),
+            Err(FlowError::Graph(_))
         ));
         let shortw = [DemandGroup::weighted(0, Arc::new(vec![1.0; 3]), 1.0)];
         assert!(matches!(

@@ -10,10 +10,11 @@
 //! The algorithm is multiplicative weights over the *fixed* path sets:
 //! each round, every commodity routes its demand on its currently
 //! cheapest path (no shortest-path recomputation — path sets are frozen
-//! up front with Yen's algorithm), lengths grow on used arcs, and the
-//! same primal-scaling/dual-bound certificates as the main solver apply.
-//! The dual bound here is valid *for the restricted problem*: α uses the
-//! cheapest path within each commodity's set.
+//! up front with Yen's algorithm) as a routing step on the phase driver
+//! every FPTAS flavour shares (`driver.rs`), so the same primal scaling,
+//! stop rules and certificates apply. The dual bound here is valid *for
+//! the restricted problem*: α uses the cheapest path within each
+//! commodity's set, taken every 4 phases and on the last budgeted one.
 //!
 //! Path freezing is a one-time preprocessing step and runs on an
 //! adjacency-list [`Graph`] (rebuilt from the [`CsrNet`] when needed);
@@ -29,7 +30,7 @@ use dctopo_graph::kshortest::yen_k_shortest;
 use dctopo_graph::{CsrNet, Graph, NodeId};
 
 use crate::cache::{FrozenPathSet, PathSetCache};
-use crate::fptas::RESCALE_ABOVE;
+use crate::driver::{weighted_length_sum, Driver, PerCap, Step};
 use crate::{validate, Commodity, FlowError, FlowOptions, SolvedFlow};
 
 /// Solve max concurrent flow where commodity `j` may only use its `k`
@@ -76,12 +77,9 @@ pub fn max_concurrent_flow_ksp_cached(
     opts: &FlowOptions,
     cache: &PathSetCache,
 ) -> Result<SolvedFlow, FlowError> {
-    validate(net.node_count(), commodities, opts)?;
-    if k == 0 {
-        return Err(FlowError::BadOptions("k must be at least 1".into()));
-    }
-    let paths = cache.freeze(net, commodities, k)?;
-    solve_frozen(net, commodities, &paths, opts)
+    solve_frozen(net, commodities, k, opts, || {
+        cache.freeze(net, commodities, k)
+    })
 }
 
 /// Freeze one `(src, dst)` pair's k-shortest path set as arc sequences.
@@ -116,136 +114,94 @@ fn freeze_and_solve(
     k: usize,
     opts: &FlowOptions,
 ) -> Result<SolvedFlow, FlowError> {
+    solve_frozen(net, commodities, k, opts, || {
+        commodities
+            .iter()
+            .map(|c| freeze_pair(g, net, c.src, c.dst, k).map(Arc::new))
+            .collect()
+    })
+}
+
+/// Validate, `freeze` one [`FrozenPathSet`] per commodity (commodity
+/// order), and run the multiplicative-weights solve over them on the
+/// shared phase driver. Cold and cached entry points converge here,
+/// which is what makes them bit-identical.
+fn solve_frozen(
+    net: &CsrNet,
+    commodities: &[Commodity],
+    k: usize,
+    opts: &FlowOptions,
+    freeze: impl FnOnce() -> Result<Vec<FrozenPathSet>, FlowError>,
+) -> Result<SolvedFlow, FlowError> {
     validate(net.node_count(), commodities, opts)?;
     if k == 0 {
         return Err(FlowError::BadOptions("k must be at least 1".into()));
     }
-    let paths = commodities
-        .iter()
-        .map(|c| freeze_pair(g, net, c.src, c.dst, k).map(Arc::new))
-        .collect::<Result<Vec<FrozenPathSet>, _>>()?;
-    solve_frozen(net, commodities, &paths, opts)
+    let paths = &freeze()?;
+    let length = net.inv_capacities().to_vec();
+    let demand = commodities.iter().map(|c| c.demand).collect();
+    let record = opts.record_commodity_flows;
+    let driver = Driver::new(net, opts, length, demand, PerCap::Reciprocal, record);
+    let mut step = FrozenStep { commodities, paths };
+    driver.run(&mut step).map(|(sol, _)| sol)
 }
 
-/// The multiplicative-weights loop over frozen path sets (one
-/// [`FrozenPathSet`] per commodity, commodity order). Cold and cached
-/// entry points converge here, which is what makes them bit-identical.
-fn solve_frozen(
-    net: &CsrNet,
-    commodities: &[Commodity],
-    paths: &[FrozenPathSet],
-    opts: &FlowOptions,
-) -> Result<SolvedFlow, FlowError> {
-    let num_arcs = net.arc_count();
-    let eps = opts.epsilon;
-    let mut length: Vec<f64> = net.inv_capacities().to_vec();
-    let mut arc_flow = vec![0.0f64; num_arcs];
-    let mut routed = vec![0.0f64; commodities.len()];
-    let mut cf: Option<Vec<Vec<f64>>> = opts
-        .record_commodity_flows
-        .then(|| vec![vec![0.0f64; num_arcs]; commodities.len()]);
-    let mut best_dual = f64::INFINITY;
-    let mut best: Option<SolvedFlow> = None;
-    let mut phases = 0usize;
-    let mut last_primal = 0.0f64;
-    let mut stagnant = 0usize;
+/// Take the restricted dual every this many phases (and on the last
+/// budgeted one).
+const DUAL_EVERY: usize = 4;
 
-    while phases < opts.max_phases {
-        phases += 1;
-        for (j, c) in commodities.iter().enumerate() {
-            // cheapest path in the frozen set under current lengths
+/// The frozen-path routing step: each commodity routes on the cheapest
+/// path of its frozen set, re-chosen after every capacity-scaled send.
+struct FrozenStep<'a> {
+    commodities: &'a [Commodity],
+    paths: &'a [FrozenPathSet],
+}
+
+impl Step for FrozenStep<'_> {
+    fn route(&mut self, d: &mut Driver) -> Result<(), FlowError> {
+        for (j, c) in self.commodities.iter().enumerate() {
             let mut remaining = c.demand;
             let mut inner = 0;
             while remaining > 1e-12 && inner < 16 {
                 inner += 1;
-                let (best_path, _) = cheapest(&paths[j][..], &length);
-                // capacity-scaled step along that path
+                // cheapest path in the frozen set under current lengths,
+                // and a capacity-scaled send along it
+                let (best_path, _) = cheapest(&self.paths[j][..], &d.length);
                 let bottleneck = best_path
                     .iter()
-                    .map(|&a| net.capacity(a))
+                    .map(|&a| d.net.capacity(a))
                     .fold(f64::INFINITY, f64::min);
                 let send = remaining.min(bottleneck);
                 for &a in best_path {
-                    arc_flow[a] += send;
-                    length[a] *= 1.0 + eps * (send * net.inv_capacity(a));
+                    d.send(a, send);
                 }
-                if let Some(cf) = cf.as_mut() {
+                if let Some(cf) = d.cf.as_mut() {
                     for &a in best_path {
                         cf[j][a] += send;
                     }
                 }
-                routed[j] += send;
+                d.routed[j] += send;
                 remaining -= send;
             }
         }
-        // rescale lengths
-        let max_len = length.iter().copied().fold(0.0f64, f64::max);
-        if max_len > RESCALE_ABOVE {
-            let inv = 1.0 / max_len;
-            for l in length.iter_mut() {
-                *l *= inv;
-            }
-        }
-        // certificates
-        let mu = arc_flow
-            .iter()
-            .zip(net.inv_capacities())
-            .map(|(&f, &ic)| f * ic)
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let primal = commodities
-            .iter()
-            .enumerate()
-            .map(|(j, c)| routed[j] / (mu * c.demand))
-            .fold(f64::INFINITY, f64::min);
-        if phases.is_multiple_of(4) {
-            let d_l: f64 = length
-                .iter()
-                .zip(net.capacities())
-                .map(|(&l, &c)| l * c)
-                .sum();
-            let alpha: f64 = commodities
+        Ok(())
+    }
+
+    /// The restricted dual `D(l)/α(l)`, with α over the cheapest path
+    /// of each commodity's set, at post-rescale lengths.
+    fn end_phase(&mut self, d: &mut Driver) -> Result<(), FlowError> {
+        if d.due(DUAL_EVERY) {
+            let d_l = weighted_length_sum(d.net, &d.length);
+            let alpha: f64 = self
+                .commodities
                 .iter()
                 .enumerate()
-                .map(|(j, c)| c.demand * cheapest(&paths[j][..], &length).1)
+                .map(|(j, c)| c.demand * cheapest(&self.paths[j][..], &d.length).1)
                 .sum();
-            let bound = d_l / alpha;
-            if bound.is_finite() && bound > 0.0 {
-                best_dual = best_dual.min(bound);
-            }
+            d.offer_dual(d_l / alpha);
         }
-        if best.as_ref().is_none_or(|b| primal > b.throughput) {
-            best = Some(SolvedFlow {
-                throughput: primal,
-                upper_bound: best_dual,
-                arc_flow: arc_flow.iter().map(|&f| f / mu).collect(),
-                commodity_rate: routed.iter().map(|&r| r / mu).collect(),
-                commodity_arc_flow: cf.as_ref().map(|c| {
-                    c.iter()
-                        .map(|v| v.iter().map(|&f| f / mu).collect())
-                        .collect()
-                }),
-                phases,
-                settles: 0,
-            });
-        }
-        if primal >= (1.0 - opts.target_gap) * best_dual {
-            break;
-        }
-        if primal > last_primal * 1.0005 {
-            last_primal = primal;
-            stagnant = 0;
-        } else {
-            stagnant += 1;
-            if stagnant >= opts.stall_phases {
-                break;
-            }
-        }
+        Ok(())
     }
-    let mut sol = best.expect("at least one phase");
-    sol.upper_bound = best_dual;
-    sol.phases = phases;
-    Ok(sol)
 }
 
 fn cheapest<'p>(paths: &'p [Vec<usize>], length: &[f64]) -> (&'p Vec<usize>, f64) {
@@ -447,6 +403,36 @@ mod tests {
         }
         // only the two surviving disjoint routes remain: λ ≈ 2
         assert!((a.throughput - 2.0).abs() < 0.08, "λ = {}", a.throughput);
+    }
+
+    /// A budget that ends between restricted-dual phases still ends on
+    /// a dual: the bound is finite, at least λ, and the gap is finite.
+    #[test]
+    fn short_budgets_end_with_a_finite_bound() {
+        let mut g = Graph::new(6);
+        for v in 0..6 {
+            g.add_unit_edge(v, (v + 1) % 6).unwrap();
+        }
+        let cs = [Commodity::unit(0, 3), Commodity::unit(1, 4)];
+        for max_phases in [1, 3] {
+            let o = FlowOptions {
+                max_phases,
+                ..opts()
+            };
+            let s = max_concurrent_flow_ksp(&g, &cs, 2, &o).unwrap();
+            assert_eq!(s.phases, max_phases);
+            assert!(
+                s.upper_bound.is_finite() && s.upper_bound >= s.throughput,
+                "max_phases {max_phases}: bound {} vs λ {}",
+                s.upper_bound,
+                s.throughput
+            );
+            assert!(
+                s.gap().is_finite(),
+                "max_phases {max_phases}: gap {}",
+                s.gap()
+            );
+        }
     }
 
     #[test]

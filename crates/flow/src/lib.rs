@@ -16,42 +16,31 @@
 //! ## Solver
 //!
 //! [`max_concurrent_flow`] implements the Garg–Könemann / Fleischer
-//! multiplicative-weights FPTAS with two production twists:
-//!
-//! 1. **Certified bounds instead of theory constants.** After every phase
-//!    we extract (a) a *feasible* primal solution by scaling the
-//!    accumulated flow down by its worst arc congestion, and (b) a dual
-//!    upper bound `D(l)/α(l)` valid for any positive length function.
-//!    The loop stops when the primal is within `target_gap` of the dual,
-//!    so every result carries a machine-checked optimality interval.
-//! 2. **Source-grouped routing.** Commodities sharing a source are routed
-//!    along one Dijkstra tree per iteration with a joint capacity-scaled
-//!    step, which keeps each length update bounded by `(1+ε)` while
-//!    doing one shortest-path computation for the whole source group.
+//! multiplicative-weights FPTAS with **certified bounds instead of
+//! theory constants**: after every phase it extracts (a) a *feasible*
+//! primal by scaling the accumulated flow down by its worst arc
+//! congestion and (b) a dual upper bound `D(l)/α(l)`, valid for any
+//! positive length function, and it stops once the primal is within
+//! `target_gap` of the dual — every result carries a machine-checked
+//! optimality interval. One phase driver runs that loop for the
+//! pairwise solve (commodities sharing a source routed along one tree
+//! per step, fast or strict), [`solve_grouped`] and the k-shortest-path
+//! restricted solve.
 //!
 //! ## Backends
 //!
 //! All solvers run against one shared, immutable [`CsrNet`] — the flat
-//! arc-level view of the graph built once per topology — and implement
-//! the [`SolverBackend`] trait:
-//!
-//! * [`Fptas`] — the production path described above. Its per-phase
-//!   source-group Dijkstra passes run in parallel on rayon against a
-//!   length snapshot, with a fixed sequential reduction order, so seeded
-//!   runs are bit-identical at every thread count.
-//! * [`ExactLp`] — the edge-flow LP (via `dctopo-linprog`) the paper
-//!   hands to CPLEX; ground truth on small instances.
-//! * [`KspRestricted`] — flow restricted to each commodity's k shortest
-//!   paths (the practical-routing model of §8). Its per-topology path
-//!   freezing is memoised by [`PathSetCache`], so multi-matrix sweeps
-//!   pay for Yen's algorithm once per `(topology, k)` — go through
-//!   [`solve_with_cache`] to amortise it.
-//!
-//! Callers pick a backend with [`FlowOptions::backend`] and go through
-//! [`solve`] (or the [`max_concurrent_flow`] convenience wrapper that
-//! still accepts a [`Graph`]). The pre-CSR, single-threaded FPTAS is
-//! kept verbatim in [`mod@reference`] as the benchmark baseline and as an
-//! independent cross-check.
+//! arc-level view of the graph built once per topology — behind the
+//! [`SolverBackend`] trait: [`Fptas`] (the production path; seeded runs
+//! are bit-identical at every thread count), [`ExactLp`] (the edge-flow
+//! LP the paper hands to CPLEX; ground truth on small instances) and
+//! [`KspRestricted`] (flow on each commodity's k shortest paths, §8;
+//! its path freezing is memoised by [`PathSetCache`] — go through
+//! [`solve_with_cache`] to amortise it). Callers pick a backend with
+//! [`FlowOptions::backend`] and go through [`solve`] (or the
+//! [`max_concurrent_flow`] wrapper that still accepts a [`Graph`]). The
+//! pre-CSR, single-threaded FPTAS is kept verbatim in [`mod@reference`]
+//! as an independently written oracle for the strict trajectory.
 
 #![warn(missing_docs)]
 
@@ -59,6 +48,7 @@ pub mod backend;
 pub mod cache;
 pub mod cut;
 pub mod decompose;
+mod driver;
 pub mod exact;
 mod fptas;
 pub mod grouped;
@@ -142,16 +132,12 @@ pub struct FlowOptions {
     /// ignores them.
     pub backend: Backend,
     /// Route the [`Fptas`] backend through the legacy strict trajectory
-    /// (recompute every group's shortest-path tree per augmentation)
-    /// instead of the default incremental fast path (tree reuse +
-    /// increase-only Dijkstra repair).
-    ///
-    /// The strict trajectory is **bit-identical** to
-    /// [`mod@reference`]'s; the fast path is certified by the same
-    /// primal-feasibility and `D(l)/α(l)` dual bounds and remains
-    /// bit-identical across thread counts, but follows its own
-    /// (cheaper) trajectory. See `docs/ARCHITECTURE.md` for the full
-    /// determinism contract. Ignored by the other backends.
+    /// (a fresh shortest-path tree per augmentation), **bit-identical**
+    /// to [`mod@reference`]'s, instead of the default fast path (tree
+    /// reuse + incremental repair), which is certified by the same
+    /// bounds on its own, cheaper trajectory. Both are bit-identical
+    /// across thread counts (see `docs/ARCHITECTURE.md`). Ignored by
+    /// the other backends.
     pub strict_reference: bool,
     /// Also record each commodity's own arc flows
     /// ([`SolvedFlow::commodity_arc_flow`]), enabling
@@ -363,6 +349,41 @@ pub(crate) fn validate(
     if commodities.is_empty() {
         return Err(FlowError::NoCommodities);
     }
+    validate_options(opts)?;
+    for (i, &c) in commodities.iter().enumerate() {
+        validate_commodity(node_count, i, c)?;
+    }
+    Ok(())
+}
+
+/// Validate one demand entry, named `index` in errors: demand positive
+/// and finite, endpoints distinct and in range.
+pub(crate) fn validate_commodity(
+    node_count: usize,
+    index: usize,
+    c: Commodity,
+) -> Result<(), FlowError> {
+    if !(c.demand.is_finite() && c.demand > 0.0) {
+        return Err(FlowError::BadDemand {
+            index,
+            demand: c.demand,
+        });
+    }
+    if c.src == c.dst {
+        return Err(FlowError::SelfCommodity { index });
+    }
+    match [c.src, c.dst].into_iter().find(|&v| v >= node_count) {
+        Some(node) => Err(FlowError::Graph(GraphError::NodeOutOfRange {
+            node,
+            n: node_count,
+        })),
+        None => Ok(()),
+    }
+}
+
+/// Validate the iterative-solver options (ε and gap in (0, 1), a
+/// positive phase budget).
+pub(crate) fn validate_options(opts: &FlowOptions) -> Result<(), FlowError> {
     if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
         return Err(FlowError::BadOptions(format!(
             "epsilon {} not in (0,1)",
@@ -377,29 +398,6 @@ pub(crate) fn validate(
     }
     if opts.max_phases == 0 {
         return Err(FlowError::BadOptions("max_phases must be positive".into()));
-    }
-    for (i, c) in commodities.iter().enumerate() {
-        if !(c.demand.is_finite() && c.demand > 0.0) {
-            return Err(FlowError::BadDemand {
-                index: i,
-                demand: c.demand,
-            });
-        }
-        if c.src == c.dst {
-            return Err(FlowError::SelfCommodity { index: i });
-        }
-        if c.src >= node_count {
-            return Err(FlowError::Graph(GraphError::NodeOutOfRange {
-                node: c.src,
-                n: node_count,
-            }));
-        }
-        if c.dst >= node_count {
-            return Err(FlowError::Graph(GraphError::NodeOutOfRange {
-                node: c.dst,
-                n: node_count,
-            }));
-        }
     }
     Ok(())
 }

@@ -1,8 +1,7 @@
 //! A minimal, dependency-free JSON value type with a recursive-descent
 //! parser and a writer — just enough for the serve protocol and the
 //! trace recorder's JSONL events, hermetic by construction (the
-//! workspace vendors no serde). `dctopo-serve` re-exports this module
-//! as `dctopo_serve::json`, its historical home.
+//! workspace vendors no serde).
 //!
 //! ## Number fidelity
 //!
@@ -11,8 +10,8 @@
 //! throughput value survives a write/parse cycle **bitwise**, which is
 //! what lets the CLI test suite compare serve responses against
 //! in-process engine results with `to_bits()` equality. Non-finite
-//! values serialize as `null` (the same convention as the bench
-//! report writer).
+//! values serialize as `null`. The bench artifacts (`BENCH_*.json`,
+//! sweep cell records) are written with it too.
 
 use std::fmt;
 
@@ -173,6 +172,13 @@ impl From<String> for Json {
 impl From<Vec<Json>> for Json {
     fn from(items: Vec<Json>) -> Json {
         Json::Arr(items)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(x: Option<T>) -> Json {
+        x.map_or(Json::Null, Into::into)
     }
 }
 
@@ -461,6 +467,16 @@ mod tests {
     fn non_finite_serializes_as_null() {
         assert_eq!(Json::num(f64::INFINITY), Json::Null);
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Json::from(None::<f64>), Json::Null);
+        assert_eq!(Json::from(Some(f64::INFINITY)), Json::Null);
+        assert_eq!(Json::from(Some(3u64)), Json::Num(3.0));
+    }
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_characters() {
+        let s = Json::from("a\"b\\c\nd\te\u{1}f\u{1f}");
+        assert_eq!(s.to_string(), r#""a\"b\\c\nd\te\u0001f\u001f""#);
+        assert_eq!(Json::parse(&s.to_string()).unwrap(), s);
     }
 
     #[test]

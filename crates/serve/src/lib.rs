@@ -7,7 +7,7 @@
 //! (link/switch failures, capacity re-rates, traffic-drift deltas)
 //! over a line-delimited JSON protocol on stdin/stdout. Entirely
 //! offline-hermetic: no sockets, no new dependencies, JSON hand-rolled
-//! in [`json`].
+//! in [`dctopo_obs::json`].
 //!
 //! ## Protocol (one JSON object per line)
 //!
@@ -29,10 +29,8 @@
 
 #![warn(missing_docs)]
 
-pub use dctopo_obs::json;
 pub mod proto;
 pub mod server;
 
-pub use json::Json;
 pub use proto::{backend_name, parse_backend, Drift, Op, ProtoError, QuerySpec, Request};
 pub use server::{ServeConfig, ServeStats, Server};

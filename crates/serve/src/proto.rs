@@ -33,7 +33,7 @@
 use dctopo_core::Degradation;
 use dctopo_flow::Backend;
 
-use crate::json::Json;
+use dctopo_obs::json::Json;
 
 /// A typed protocol-level error: the `kind` becomes the response's
 /// `error.kind` field.

@@ -53,8 +53,8 @@ use dctopo_topology::Topology;
 use dctopo_traffic::TrafficMatrix;
 use rayon::prelude::*;
 
-use crate::json::Json;
 use crate::proto::{backend_name, Op, ProtoError, QuerySpec, Request};
+use dctopo_obs::json::Json;
 
 /// Server configuration.
 #[derive(Debug, Clone, Copy)]

@@ -8,8 +8,8 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 use dctopo::core::{Degradation, Scenario, ThroughputEngine};
+use dctopo::obs::json::Json;
 use dctopo::prelude::*;
-use dctopo::serve::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

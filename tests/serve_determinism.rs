@@ -18,8 +18,9 @@
 use std::collections::HashMap;
 
 use dctopo::core::{Degradation, Scenario, ThroughputEngine};
+use dctopo::obs::json::Json;
 use dctopo::prelude::*;
-use dctopo::serve::{Drift, Json, QuerySpec, ServeConfig, Server};
+use dctopo::serve::{Drift, QuerySpec, ServeConfig, Server};
 use dctopo::topology::classic::complete;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
